@@ -195,6 +195,13 @@ def _element_mass_block(L: float) -> np.ndarray:
     return M
 
 
+def _scatter(rows: np.ndarray, cols: np.ndarray, blocks: np.ndarray, shape) -> np.ndarray:
+    """Dense matrix summing blocks[...] into (rows[...], cols[...]), in order."""
+    flat = np.bincount((rows * shape[1] + cols).ravel(), weights=blocks.ravel(),
+                       minlength=shape[0] * shape[1])
+    return flat.reshape(shape)
+
+
 def _domain_matrices(dd: DomainDof):
     """Dense U (phi x phi), T (phi x psi), S (psi x psi), M (phi x psi)."""
     mesh = dd.mesh
@@ -202,20 +209,17 @@ def _domain_matrices(dd: DomainDof):
     U, T, S = all_pair_blocks(mesh, dd.mat)
     nF = 2 * dd.n_phi
     nP = 2 * dd.n_psi
-    Ug = np.zeros((nF, nF))
-    Tg = np.zeros((nF, nP))
-    Sg = np.zeros((nP, nP))
-    Mg = np.zeros((nF, nP))
     RI = np.array([dd.phi_dofs_of_element(e) for e in range(m)])
     PI = np.array([dd.psi_dofs_of_element(e) for e in range(m)])
-    for i in range(m):
-        ri = RI[i]
-        pi = PI[i]
-        np.add.at(Ug, (ri[:, None, None], RI[None, :, :]), U[i].transpose(1, 0, 2))
-        np.add.at(Tg, (ri[:, None, None], PI[None, :, :]), T[i].transpose(1, 0, 2))
-        np.add.at(Sg, (pi[:, None, None], PI[None, :, :]), S[i].transpose(1, 0, 2))
-        _, _, L = element_frame(mesh, i)
-        np.add.at(Mg, (ri[:, None], pi[None, :]), _element_mass_block(L))
+    # pair blocks (i, j, a, b) land at (dofs of i)[a], (dofs of j)[b]
+    rows_F, rows_P = RI[:, None, :, None], PI[:, None, :, None]
+    cols_F, cols_P = RI[None, :, None, :], PI[None, :, None, :]
+    Ug = _scatter(rows_F, cols_F, U, (nF, nF))
+    Tg = _scatter(rows_F, cols_P, T, (nF, nP))
+    Sg = _scatter(rows_P, cols_P, S, (nP, nP))
+    Ls = np.array([element_frame(mesh, e)[2] for e in range(m)])
+    Mg = _scatter(RI[:, :, None], PI[:, None, :],
+                  np.array([_element_mass_block(L) for L in Ls]), (nF, nP))
     return Ug, Tg, Sg, Mg
 
 

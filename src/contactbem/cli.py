@@ -24,7 +24,7 @@ import numpy as np
 import yaml
 
 from . import __version__
-from .assembly import assemble, geometry_hash
+from .assembly import AssemblyError, assemble, geometry_hash
 from .contact import ContactError, ContactLaw
 from .evolve import (
     DeadlockError,
@@ -32,8 +32,10 @@ from .evolve import (
     LoadProgram,
     run,
 )
+from .kernels import KernelError
 from .mesh import Material, MeshError, build_mesh, pair_contacts
 from .qp import QPError
+from .steklov import SteklovError
 
 
 class ConfigError(ValueError):
@@ -746,7 +748,8 @@ def main(argv=None) -> int:
     except DeadlockError as exc:
         print(f"time-step deadlock: {exc}", file=sys.stderr)
         return 4
-    except (EvolveError, QPError) as exc:
+    except (EvolveError, QPError, KernelError, AssemblyError, SteklovError,
+            ContactError) as exc:
         print(f"solver failure: {exc}", file=sys.stderr)
         return 3
     last = records[-1]

@@ -1,8 +1,9 @@
 """Plane-strain Kelvin kernels and Galerkin double integrals.
 
-Public entry points: pointwise kernel evaluation (kelvin_U, kelvin_T) and
-galerkin_integral for a single element pair.  Whole-mesh assembly calls the
-compiled driver in _kernels_impl directly.
+Public entry points: pointwise kernel evaluation (kelvin_U, kelvin_T),
+all_pair_blocks for every element pair of a mesh and galerkin_integral for a
+single pair.  Both integrate through the batched evaluator in _kernels_impl;
+a single pair is a batch of one.
 """
 
 from __future__ import annotations
@@ -10,16 +11,10 @@ from __future__ import annotations
 import numpy as np
 
 from . import _kernels_impl as impl
-from .mesh import BoundaryMesh, Material, element_frame
+from ._kernels_impl import KernelError
+from .mesh import BoundaryMesh, Material, MeshError
 
 KERNEL_KINDS = ("U", "T", "T*", "S")
-
-_G8 = impl.gauss01(8)
-_G10 = impl.gauss01(10)
-
-
-class KernelError(ValueError):
-    pass
 
 
 def kelvin_U(x, y, mat: Material) -> np.ndarray:
@@ -58,6 +53,20 @@ def kelvin_T(x, y, n_y, mat: Material) -> np.ndarray:
     )
 
 
+def _classify(el: np.ndarray, i: np.ndarray, j: np.ndarray):
+    """Pair classes and adjacency flags of the element pairs (i[k], j[k])."""
+    a, b = el[i], el[j]
+    same = a[:, :, None] == b[:, None, :]  # node of i equals node of j
+    n_shared = same.sum(axis=(1, 2))
+    overlap = (n_shared == 2) & (i != j)
+    if overlap.any():
+        k = np.argmax(overlap)
+        raise KernelError(f"elements {i[k]} and {j[k]} overlap")
+    kind = np.where(i == j, 2, np.minimum(n_shared, 1))
+    info = np.where(kind == 1, same[:, 0, :].any(1) | 2 * same[:, :, 0].any(1), 0)
+    return kind.astype(np.int64), info.astype(np.int64)
+
+
 def classify_pairs(mesh: BoundaryMesh):
     """Pair classification for one mesh: 0 disjoint, 1 adjacent, 2 coincident.
 
@@ -65,39 +74,28 @@ def classify_pairs(mesh: BoundaryMesh):
     bit 1 says it starts element j.
     """
     m = mesh.n_elements
-    kind = np.zeros((m, m), dtype=np.int64)
-    info = np.zeros((m, m), dtype=np.int64)
-    el = mesh.elements
-    for i in range(m):
-        kind[i, i] = 2
-        for j in range(i + 1, m):
-            shared = set(el[i]) & set(el[j])
-            if len(shared) == 2:
-                raise KernelError(f"elements {i} and {j} overlap")
-            if len(shared) == 1:
-                v = shared.pop()
-                kind[i, j] = kind[j, i] = 1
-                bi = 1 if el[i][0] == v else 0
-                bj = 2 if el[j][0] == v else 0
-                info[i, j] = bi | bj
-                # swapped roles for the (j, i) ordering
-                info[j, i] = (1 if el[j][0] == v else 0) | (2 if el[i][0] == v else 0)
-    return kind, info
+    i, j = np.divmod(np.arange(m * m), m)
+    kind, info = _classify(mesh.elements, i, j)
+    return kind.reshape(m, m), info.reshape(m, m)
 
 
 def mesh_geometry_arrays(mesh: BoundaryMesh):
-    m = mesh.n_elements
-    P = np.empty((m, 4))
-    Ls = np.empty(m)
-    Ns = np.empty((m, 2))
-    for e in range(m):
-        a, b = mesh.elements[e]
-        P[e, 0:2] = mesh.nodes[a]
-        P[e, 2:4] = mesh.nodes[b]
-        _, n, L = element_frame(mesh, e)
-        Ls[e] = L
-        Ns[e] = n
-    return P, Ls, Ns
+    """Element endpoints (m, 4), lengths (m,) and outward normals (m, 2)."""
+    P = mesh.nodes[mesh.elements].reshape(-1, 4)
+    d = P[:, 2:4] - P[:, 0:2]
+    Ls = np.hypot(d[:, 0], d[:, 1])
+    if np.any(Ls <= 0.0):
+        raise MeshError(f"degenerate element {np.argmax(Ls <= 0.0)}")
+    t = d / Ls[:, None]
+    return P, Ls, np.stack([t[:, 1], -t[:, 0]], 1)
+
+
+def _blocks(mesh: BoundaryMesh, mat: Material, i, j):
+    """(U, Tij, Tji, S) of the element pairs (i[k], j[k]), i[k] <= j[k]."""
+    P, Ls, Ns = mesh_geometry_arrays(mesh)
+    kind, info = _classify(mesh.elements, i, j)
+    return impl.pair_blocks(P, Ls, Ns, kind, info, i, j,
+                            mat.shear_modulus, mat.poisson_ratio)
 
 
 def all_pair_blocks(mesh: BoundaryMesh, mat: Material):
@@ -107,15 +105,18 @@ def all_pair_blocks(mesh: BoundaryMesh, mat: Material):
     shape m / component k with trial shape n / component l.  T[i, j] is
     tested on element i.
     """
-    P, Ls, Ns = mesh_geometry_arrays(mesh)
-    kind, info = classify_pairs(mesh)
-    U, T, S, err = impl.compute_pair_blocks(
-        P, Ls, Ns, kind, info,
-        mat.shear_modulus, mat.poisson_ratio,
-        _G8[0], _G8[1], _G10[0], _G10[1],
-    )
-    if err:
-        raise KernelError("overlapping but non-identical elements in mesh")
+    m = mesh.n_elements
+    i, j = np.triu_indices(m)
+    Ub, Tij, Tji, Sb = _blocks(mesh, mat, i, j)
+    U = np.empty((m, m, 4, 4))
+    T = np.empty((m, m, 4, 4))
+    S = np.empty((m, m, 4, 4))
+    U[j, i] = Ub.transpose(0, 2, 1)
+    S[j, i] = Sb.transpose(0, 2, 1)
+    T[j, i] = Tji
+    U[i, j] = Ub
+    S[i, j] = Sb
+    T[i, j] = Tij
     return U, T, S
 
 
@@ -125,43 +126,16 @@ def galerkin_integral(mesh: BoundaryMesh, e_test: int, e_trial: int, kind: str,
 
     Both shape families are linear per element; the phi/psi distinction
     (traction jumps at junctions) only matters during global assembly.
+    The block is the (e_test, e_trial) block of all_pair_blocks.
     """
     if kind not in KERNEL_KINDS:
         raise KernelError(f"unsupported kernel kind {kind!r}")
     if kind == "T*":
         return galerkin_integral(mesh, e_trial, e_test, "T", mat).T
-    G = mat.shear_modulus
-    nu = mat.poisson_ratio
-    Ub = np.zeros((4, 4))
-    Tij = np.zeros((4, 4))
-    Tji = np.zeros((4, 4))
-    Sb = np.zeros((4, 4))
-    _, ni, Li = element_frame(mesh, e_test)
-    ai, bi = mesh.elements[e_test]
-    p0, p1 = mesh.nodes[ai], mesh.nodes[bi]
-    if e_test == e_trial:
-        impl._pair_coincident(p0[0], p0[1], p1[0], p1[1], Li, G, nu, Ub, Tij, Sb)
-    else:
-        _, nj, Lj = element_frame(mesh, e_trial)
-        aj, bj = mesh.elements[e_trial]
-        q0, q1 = mesh.nodes[aj], mesh.nodes[bj]
-        shared = set(mesh.elements[e_test]) & set(mesh.elements[e_trial])
-        if len(shared) == 2:
-            raise KernelError("overlapping but non-identical elements")
-        if len(shared) == 1:
-            v = shared.pop()
-            impl._pair_adjacent(
-                p0[0], p0[1], p1[0], p1[1], q0[0], q0[1], q1[0], q1[1],
-                Li, Lj, ni[0], ni[1], nj[0], nj[1],
-                ai == v, aj == v,
-                G, nu, _G10[0], _G10[1], Ub, Tij, Tji, Sb,
-            )
-        else:
-            rc = impl._pair_separated(
-                p0[0], p0[1], p1[0], p1[1], q0[0], q0[1], q1[0], q1[1],
-                Li, Lj, ni[0], ni[1], nj[0], nj[1],
-                G, nu, _G8[0], _G8[1], Ub, Tij, Tji, Sb,
-            )
-            if rc:
-                raise KernelError("overlapping but non-identical elements")
-    return {"U": Ub, "T": Tij, "S": Sb}[kind]
+    swap = e_test > e_trial
+    pair = np.array([min(e_test, e_trial)]), np.array([max(e_test, e_trial)])
+    Ub, Tij, Tji, Sb = (blk[0] for blk in _blocks(mesh, mat, *pair))
+    if kind == "T":
+        return Tji if swap else Tij
+    blk = Ub if kind == "U" else Sb
+    return blk.T if swap else blk

@@ -103,25 +103,48 @@ def _signed_area(poly: np.ndarray) -> float:
     return 0.5 * float(np.sum(x * np.roll(y, -1) - np.roll(x, -1) * y))
 
 
-def _segments_properly_intersect(p, q, a, b) -> bool:
-    def orient(u, v, w):
-        return (v[0] - u[0]) * (w[1] - u[1]) - (v[1] - u[1]) * (w[0] - u[0])
+def _orient(u, v, w) -> float:
+    return (v[0] - u[0]) * (w[1] - u[1]) - (v[1] - u[1]) * (w[0] - u[0])
 
-    d1, d2 = orient(a, b, p), orient(a, b, q)
-    d3, d4 = orient(p, q, a), orient(p, q, b)
+
+def _segments_properly_intersect(p, q, a, b) -> bool:
+    d1, d2 = _orient(a, b, p), _orient(a, b, q)
+    d3, d4 = _orient(p, q, a), _orient(p, q, b)
     return (d1 * d2 < 0) and (d3 * d4 < 0)
 
 
+def _point_segment_distance(p, a, b) -> float:
+    d = b - a
+    t = np.clip((p - a) @ d / (d @ d), 0.0, 1.0)
+    return float(np.linalg.norm(p - (a + t * d)))
+
+
 def _check_simple(poly: np.ndarray):
+    """Reject zero-length segments, crossings, and segments that touch or
+    overlap anywhere but at the vertex two consecutive segments share."""
     m = len(poly)
+    seg = [(poly[i], poly[(i + 1) % m]) for i in range(m)]
+    for i, (p, q) in enumerate(seg):
+        if np.array_equal(p, q):
+            raise MeshError(f"segment {i}: zero length")
+    tol = 1e-12 * float(np.ptp(poly, axis=0).max())
     for i in range(m):
-        p, q = poly[i], poly[(i + 1) % m]
-        for j in range(i + 2, m):
-            if i == 0 and j == m - 1:
+        p, q = seg[i]
+        for j in range(i + 1, m):
+            a, b = seg[j]
+            if j == i + 1 or (i == 0 and j == m - 1):
+                # neighbours share one vertex; they must not fold back
+                if _orient(p, q, b if j == i + 1 else a) == 0 and (q - p) @ (b - a) < 0:
+                    raise MeshError(f"polyline folds back at segments {i} and {j}")
                 continue
-            a, b = poly[j], poly[(j + 1) % m]
             if _segments_properly_intersect(p, q, a, b):
                 raise MeshError(f"polyline self-intersects (segments {i} and {j})")
+            for x, s0, s1 in ((p, a, b), (q, a, b), (a, p, q), (b, p, q)):
+                if _point_segment_distance(x, s0, s1) <= tol:
+                    raise MeshError(
+                        f"polyline segments {i} and {j} touch at "
+                        f"({x[0]:.12g}, {x[1]:.12g})"
+                    )
 
 
 def _graded_breaks(n: int, min_len: float, total: float, toward_end: bool):
@@ -198,8 +221,6 @@ def build_mesh(
         if n < 1:
             raise MeshError(f"segment {i}: subdivision count must be >= 1")
         total = float(np.linalg.norm(b - a))
-        if total <= 0:
-            raise MeshError(f"segment {i}: zero length")
         grade = spec.get("grade")
         if grade is None:
             fr = np.linspace(0.0, 1.0, n + 1)
@@ -278,18 +299,20 @@ def _contact_chain(mesh: BoundaryMesh):
     idx = mesh.contact_elements()
     if len(idx) == 0:
         raise MeshError(f"mesh {mesh.domain_label}: empty contact set")
-    # contact elements are consecutive along the closed polyline for all
-    # supported geometries; rotate so the chain start is its first element
+    # the contact part must be one chain along the closed polyline; rotate
+    # the sorted list so that the chain starts at its first element
     idx = sorted(idx)
     m = mesh.n_elements
-    if len(idx) < m:
-        start = 0
-        present = set(idx)
-        for k, e in enumerate(idx):
-            if (e - 1) % m not in present:
-                start = k
-                break
-        idx = idx[start:] + idx[:start]
+    present = set(idx)
+    starts = [k for k, e in enumerate(idx) if (e - 1) % m not in present]
+    if len(starts) > 1:
+        k = starts[1]
+        raise MeshError(
+            f"domain {mesh.domain_label}: contact elements are not one "
+            f"contiguous chain (break between elements {idx[k - 1]} and {idx[k]})"
+        )
+    if starts:
+        idx = idx[starts[0]:] + idx[:starts[0]]
     return np.array(idx, dtype=np.int64)
 
 

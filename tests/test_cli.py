@@ -5,6 +5,7 @@ import pytest
 import yaml
 
 from contactbem import cli
+from contactbem.assembly import AssemblyError
 from contactbem.cli import (
     ConfigError,
     PRESETS,
@@ -13,6 +14,9 @@ from contactbem.cli import (
     parse_scenario,
     scenario_to_dict,
 )
+from contactbem.contact import ContactError
+from contactbem.kernels import KernelError
+from contactbem.steklov import SteklovError
 
 
 def tiny_scenario(**solver):
@@ -193,3 +197,43 @@ def test_snapshot_svg_geometry(tmp_path):
     text = path.read_text()
     assert text.count("<path") == 4  # two outlines, drawn twice (coincident)
     assert "</svg>" in text
+
+
+def test_main_touching_polyline_exits_2(tmp_path, capsys):
+    doc = tiny_scenario()
+    # vertex (2, 0) touches the bottom edge: meshes, but cannot be integrated
+    doc["domains"][1]["polyline"] = [[0, 0], [4, 0], [4, 4], [3, 4], [2, 0],
+                                     [1, 4], [0, 4]]
+    doc["domains"][1]["parts"] = [{"tag": t, "n": 1}
+                                  for t in ("D", "N", "C", "N", "N", "N", "N")]
+    path = tmp_path / "touch.yaml"
+    path.write_text(yaml.safe_dump(doc))
+    assert main(["run", str(path), "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err.strip()
+    assert "segments 0 and 3 touch at (2, 0)" in err
+    assert "\n" not in err
+
+
+def test_main_split_contact_zone_exits_2(tmp_path, capsys):
+    doc = cli.preset_receding(10)
+    doc["domains"][0]["parts"][1]["tag"] = "N"
+    doc["domains"][1]["parts"][4]["tag"] = "N"
+    path = tmp_path / "split.yaml"
+    path.write_text(yaml.safe_dump(doc))
+    assert main(["run", str(path), "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err.strip()
+    assert "domain A: contact elements are not one contiguous chain" in err
+    assert "\n" not in err
+
+
+@pytest.mark.parametrize("error", [KernelError, AssemblyError, SteklovError,
+                                   ContactError])
+def test_main_maps_library_errors_to_exit_3(error, tmp_path, capsys, monkeypatch):
+    def failing(sc, out):
+        raise error("broken")
+
+    monkeypatch.setattr(cli, "run_scenario", failing)
+    path = tmp_path / "tiny.yaml"
+    path.write_text(yaml.safe_dump(tiny_scenario()))
+    assert main(["run", str(path), "--out", str(tmp_path / "out")]) == 3
+    assert capsys.readouterr().err == "solver failure: broken\n"

@@ -1,3 +1,5 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 from scipy import integrate
@@ -9,7 +11,7 @@ from contactbem.kernels import (
     kelvin_T,
     kelvin_U,
 )
-from contactbem.mesh import Material, build_mesh, element_frame
+from contactbem.mesh import BoundaryMesh, Material, build_mesh, element_frame
 
 MAT = Material(young_modulus=200.0, poisson_ratio=0.3)
 RNG = np.random.default_rng(42)
@@ -223,3 +225,51 @@ def test_T_star_is_transpose():
     Ts = galerkin_integral(mesh, 0, 2, "T*", MAT)
     T = galerkin_integral(mesh, 2, 0, "T", MAT)
     assert np.allclose(Ts, T.T)
+
+
+def _graded_mesh():
+    """Ten elements with all three pair classes; the single top element
+    lies within 1.5 of its own length of the graded bottom elements, so
+    those separated pairs are bisected."""
+    poly = [(0.0, 0.0), (4.0, 0.0), (4.0, 1.0), (0.0, 1.0)]
+    spec = [{"tag": "D", "n": 5, "grade": ("start", 0.05)}, {"tag": "N", "n": 2},
+            {"tag": "N", "n": 1}, {"tag": "N", "n": 2}]
+    return build_mesh(poly, spec)
+
+
+def test_blocks_match_golden_scalar_quadrature():
+    """U, T, S as the former per-point scalar quadrature computed them."""
+    golden = np.load(Path(__file__).parent / "data" / "golden_blocks.npz")
+    blocks = dict(zip("UTS", all_pair_blocks(_graded_mesh(), MAT)))
+    for name, got in blocks.items():
+        ref = golden[name]
+        assert np.abs(got - ref).max() <= 1e-12 * np.abs(ref).max(), name
+
+
+def test_single_pair_is_a_block_of_all_pairs():
+    """galerkin_integral evaluates a batch of one pair through the evaluator
+    of all_pair_blocks; only the batch layout may change the roundoff."""
+    mesh = _graded_mesh()
+    blocks = dict(zip("UTS", all_pair_blocks(mesh, MAT)))
+    m = mesh.n_elements
+    for kind, A in blocks.items():
+        tol = 1e-13 * np.abs(A).max()
+        for i in range(m):
+            for j in range(m):
+                got = galerkin_integral(mesh, i, j, kind, MAT)
+                assert np.abs(got - A[i, j]).max() <= tol, (kind, i, j)
+
+
+def test_touching_elements_raise():
+    # unit square plus an element whose start node lies on element 0
+    nodes = [(0, 0), (2, 0), (2, 2), (0, 2), (1, 0), (1, 1)]
+    mesh = BoundaryMesh("A", nodes, [(0, 1), (1, 2), (2, 3), (3, 0), (4, 5)],
+                        ["D"] * 5)
+    with pytest.raises(KernelError, match="elements 0 and 4"):
+        all_pair_blocks(mesh, MAT)
+    with pytest.raises(KernelError):
+        galerkin_integral(mesh, 4, 0, "U", MAT)
+    twice = BoundaryMesh("A", nodes[:4], [(0, 1), (1, 2), (2, 3), (3, 0), (1, 0)],
+                         ["D"] * 5)
+    with pytest.raises(KernelError, match="elements 0 and 4 overlap"):
+        all_pair_blocks(twice, MAT)

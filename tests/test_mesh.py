@@ -60,6 +60,23 @@ def test_self_intersection_rejected():
         build_mesh(poly, spec)
 
 
+@pytest.mark.parametrize("poly,match", [
+    # vertex (2, 0) lies on the bottom edge
+    ([(0, 0), (4, 0), (4, 4), (3, 4), (2, 0), (1, 4), (0, 4)],
+     r"segments 0 and 3 touch at \(2, 0\)"),
+    # two non-adjacent edges run along the same line and overlap
+    ([(0, 0), (3, 0), (3, 1), (2, 1), (2, 0), (1, 0), (1, 2), (0, 2)],
+     "touch"),
+    # consecutive edges fold back on each other
+    ([(0, 0), (2, 0), (1, 0), (1, 1)], "folds back"),
+    ([(0, 0), (1, 0), (1, 0), (0, 1)], "segment 1: zero length"),
+])
+def test_touching_polyline_rejected(poly, match):
+    spec = [{"tag": "D", "n": 1}] * len(poly)
+    with pytest.raises(MeshError, match=match):
+        build_mesh(poly, spec)
+
+
 def test_dirichlet_required_unless_floating_contact():
     poly = [(0, 0), (1, 0), (1, 1), (0, 1)]
     spec = [{"tag": "N", "n": 1}] * 4
@@ -214,3 +231,12 @@ def test_dump_debug_roundtrip():
     # one row per node and per element plus headers
     rows = [l for l in text.splitlines() if l and not l.startswith("#")]
     assert len(rows) == mesh.n_nodes + mesh.n_elements
+
+
+def test_split_contact_zone_rejected():
+    poly = [(0, 0), (4, 0), (4, 1), (0, 1)]
+    spec = [{"tag": "C", "n": 2}, {"tag": "N", "n": 1},
+            {"tag": "C", "n": 1}, {"tag": "N", "n": 1}]
+    mesh = build_mesh(poly, spec, domain_label="Q", allow_floating=True)
+    with pytest.raises(MeshError, match=r"domain Q: .*between elements 1 and 3"):
+        pair_contacts(mesh, mesh)

@@ -223,29 +223,6 @@ def _domain_matrices(dd: DomainDof):
     return Ug, Tg, Sg, Mg
 
 
-def mass_matrix(mesh: BoundaryMesh, part, families=("phi", "psi")) -> np.ndarray:
-    """Mass matrix of shape products over one boundary part.
-
-    part: a tag string or a predicate over tags.  Returns the phi x psi
-    pairing restricted to the part (rows: traction dofs, cols: nodal dofs),
-    exact for products of linear shapes.
-    """
-    pred = part if callable(part) else (lambda t: t == part)
-    dd = DomainDof(mesh, Material(1.0, 0.0))
-    els = [e for e in range(mesh.n_elements) if pred(mesh.part_tag[e])]
-    if not els:
-        raise AssemblyError("empty part")
-    M = np.zeros((2 * dd.n_phi, 2 * dd.n_psi))
-    for e in els:
-        _, _, L = element_frame(mesh, e)
-        np.add.at(
-            M,
-            (dd.phi_dofs_of_element(e)[:, None], dd.psi_dofs_of_element(e)[None, :]),
-            _element_mass_block(L),
-        )
-    return M
-
-
 def _mortar_mass(pair: ContactPair, dd_A: DomainDof, dd_B: DomainDof) -> np.ndarray:
     """Cross mass M^AB: rows A-contact phi dofs, cols B psi dofs."""
     M = np.zeros((2 * dd_A.n_phi, 2 * dd_B.n_psi))
@@ -272,11 +249,12 @@ def _mortar_mass(pair: ContactPair, dd_A: DomainDof, dd_B: DomainDof) -> np.ndar
 @dataclass
 class DofLayout:
     domains: list  # [DomainDof] (one or two entries, order A then B)
-    order: list = None  # per unknown: (dom index, 'phi'|'psi', local scalar dof)
     col_of_unknown: np.ndarray = None  # full-layout column of each unknown
     known_cols: np.ndarray = None
     offsets: list = None  # full-layout column offset per domain
     blocks: dict = None  # (dom, name) -> global unknown index array
+    # per domain: (unknown ids, phi dofs, unknown ids, psi dofs)
+    scatter: list = None
 
     def __post_init__(self):
         self.offsets = []
@@ -285,9 +263,10 @@ class DofLayout:
             self.offsets.append(off)
             off += dd.width
         self.total_width = off
-        self.order = []
         self.blocks = {}
+        self.scatter = []
         cols = []
+        n = 0
         for di, dd in enumerate(self.domains):
             for name, space, dofs in (
                 ("pD", "phi", dd.pD),
@@ -295,14 +274,18 @@ class DofLayout:
                 ("pC", "phi", dd.pC),
                 ("vC", "psi", dd.vC),
             ):
-                idx = []
-                for d in dofs:
-                    idx.append(len(self.order))
-                    self.order.append((di, space, int(d)))
-                    base = self.offsets[di] + (0 if space == "phi" else 2 * dd.n_phi)
-                    cols.append(base + int(d))
-                self.blocks[(di, name)] = np.array(idx, dtype=np.int64)
-        self.col_of_unknown = np.array(cols, dtype=np.int64)
+                self.blocks[(di, name)] = np.arange(n, n + len(dofs))
+                n += len(dofs)
+                base = self.offsets[di] + (0 if space == "phi" else 2 * dd.n_phi)
+                cols.append(base + dofs)
+            b = self.blocks
+            self.scatter.append((
+                np.concatenate([b[(di, "pD")], b[(di, "pC")]]),
+                np.concatenate([dd.pD, dd.pC]),
+                np.concatenate([b[(di, "vN")], b[(di, "vC")]]),
+                np.concatenate([dd.vN, dd.vC]),
+            ))
+        self.col_of_unknown = np.concatenate(cols)
         known = []
         for di, dd in enumerate(self.domains):
             base = self.offsets[di]
@@ -316,7 +299,7 @@ class DofLayout:
 
     @property
     def n_unknowns(self) -> int:
-        return len(self.order)
+        return len(self.col_of_unknown)
 
 
 @dataclass
@@ -402,16 +385,15 @@ def assemble(meshes, pair: ContactPair, mats) -> InfluenceMatrices:
         type1 = np.hstack([-Ug, 0.5 * M1 + Tg])  # displacement BIE rows
         type2 = np.hstack([Tg.T - 0.5 * M2.T, -Sg])  # traction BIE rows
         off = layout.offsets[di]
-        for name, space, block in (
-            ("pD", "phi", type1),
-            ("vN", "psi", type2),
-            ("pC", "phi", type1),
-            ("vC", "psi", type2),
+        for name, block, local in (
+            ("pD", type1, dd.pD),
+            ("vN", type2, dd.vN),
+            ("pC", type1, dd.pC),
+            ("vC", type2, dd.vC),
         ):
             gidx = layout.blocks[(di, name)]
             if len(gidx) == 0:
                 continue
-            local = [layout.order[g][2] for g in gidx]
             rows_full[np.ix_(gidx, np.arange(off, off + dd.width))] = block[local]
 
     if two:
@@ -419,7 +401,7 @@ def assemble(meshes, pair: ContactPair, mats) -> InfluenceMatrices:
         # side A displacement-BIE contact rows couple to B's contact trace
         gA = layout.blocks[(0, "pC")]
         colB_psi = layout.offsets[1] + 2 * dd_B.n_phi + np.arange(2 * dd_B.n_psi)
-        localA = [layout.order[g][2] for g in gA]
+        localA = dd_A.pC
         rows_full[np.ix_(gA, colB_psi)] += M_AB[localA]
         # and carry the gap data on the right-hand side
         wcols = _master_w_columns(pair)
@@ -427,7 +409,7 @@ def assemble(meshes, pair: ContactPair, mats) -> InfluenceMatrices:
         # side B traction-BIE contact rows couple to A's contact tractions
         gB = layout.blocks[(1, "vC")]
         colA_phi = layout.offsets[0] + np.arange(2 * dd_A.n_phi)
-        localB = [layout.order[g][2] for g in gB]
+        localB = dd_B.vC
         rows_full[np.ix_(gB, colA_phi)] += M_AB.T[localB]
 
     K = rows_full[:, layout.col_of_unknown]
@@ -473,39 +455,43 @@ def known_data_vector(im: InfluenceMatrices, g_D, f_N) -> np.ndarray:
     return np.concatenate(vals) if vals else np.zeros(0)
 
 
+def check_residual(im: InfluenceMatrices, x: np.ndarray, rhs: np.ndarray) -> float:
+    """Linear residual |K x - rhs| of a backsolve (one or many columns).
+
+    Raises AssemblyError above 1e-10 of the scale |K| |x| + |rhs|.
+    """
+    res = np.linalg.norm(im.K @ x - rhs)
+    scale = np.linalg.norm(im.K, ord=np.inf) * max(np.linalg.norm(x), 1e-300) + np.linalg.norm(rhs)
+    if res > 1e-10 * scale:
+        raise AssemblyError(f"linear residual {res:.3e} above tolerance")
+    return float(res)
+
+
 def solve_tbvp(im: InfluenceMatrices, g_D, f_N, w=None, check: bool = True) -> BoundarySolution:
     """Solve the transmission problem for given boundary data and gap w."""
     rhs = im.R_known @ known_data_vector(im, g_D, f_N)
     if w is not None and im.W.shape[1]:
         rhs = rhs + im.W @ np.asarray(w, float)
     x = im.solve(rhs)
-    if check:
-        res = np.linalg.norm(im.K @ x - rhs)
-        scale = np.linalg.norm(im.K, ord=np.inf) * max(np.linalg.norm(x), 1e-300) + np.linalg.norm(rhs)
-        if res > 1e-10 * scale:
-            raise AssemblyError(f"linear residual {res:.3e} above tolerance")
-    else:
-        res = 0.0
+    res = check_residual(im, x, rhs) if check else 0.0
     sol = scatter_solution(im, x, g_D, f_N)
     sol.rhs = rhs
-    sol.residual = float(res)
+    sol.residual = res
     return sol
 
 
 def scatter_solution(im: InfluenceMatrices, x: np.ndarray, g_D, f_N) -> BoundarySolution:
     p, v = [], []
-    for di, dd in enumerate(im.layout.domains):
-        pf = np.zeros(2 * dd.n_phi) if f_N[di] is None else np.asarray(f_N[di], float).copy()
-        vf = np.zeros(2 * dd.n_psi) if g_D[di] is None else np.asarray(g_D[di], float).copy()
+    for dd, (g_phi, phi, g_psi, psi), f, g in zip(
+            im.layout.domains, im.layout.scatter, f_N, g_D):
+        pf = np.zeros(2 * dd.n_phi) if f is None else np.array(f, dtype=float)
+        vf = np.zeros(2 * dd.n_psi) if g is None else np.array(g, dtype=float)
         pf[dd.trac_unknown] = 0.0
         vf[~dd.disp_known] = 0.0
+        pf[phi] = x[g_phi]
+        vf[psi] = x[g_psi]
         p.append(pf)
         v.append(vf)
-    for g, (di, space, d) in enumerate(im.layout.order):
-        if space == "phi":
-            p[di][d] = x[g]
-        else:
-            v[di][d] = x[g]
     return BoundarySolution(p=p, v=v, x=x)
 
 
@@ -519,22 +505,3 @@ def geometry_hash(meshes, mats) -> str:
             np.array([mat.young_modulus, mat.poisson_ratio, mat.relaxation_time]).tobytes()
         )
     return h.hexdigest()
-
-
-def dump_factorization(im: InfluenceMatrices, path, key: str):
-    if im._factor is None:
-        raise AssemblyError("factorization unavailable")
-    ldu, ipiv = im._factor
-    np.savez_compressed(path, key=np.frombuffer(key.encode(), dtype=np.uint8),
-                        ldu=ldu, ipiv=ipiv)
-
-
-def restore_factorization(im: InfluenceMatrices, path, key: str) -> bool:
-    try:
-        data = np.load(path)
-    except (OSError, ValueError):
-        return False
-    if bytes(data["key"]).decode() != key:
-        return False
-    im._factor = (data["ldu"], data["ipiv"])
-    return True

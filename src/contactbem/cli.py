@@ -26,12 +26,7 @@ import yaml
 from . import __version__
 from .assembly import AssemblyError, assemble, geometry_hash
 from .contact import ContactError, ContactLaw
-from .evolve import (
-    DeadlockError,
-    EvolveError,
-    LoadProgram,
-    run,
-)
+from .evolve import EvolveError, LoadProgram, run
 from .kernels import KernelError
 from .mesh import Material, MeshError, build_mesh, pair_contacts
 from .qp import QPError
@@ -527,21 +522,6 @@ def energy_row(rec):
             rec.qp_iterations)
 
 
-def emit_contact_csv(pair, records, path):
-    with open(path, "w") as fh:
-        fh.write(",".join(CONTACT_COLUMNS) + "\n")
-        for rec in records:
-            for row in contact_rows(pair, rec):
-                fh.write(",".join(_fmt(v) for v in row) + "\n")
-
-
-def emit_energy_csv(records, path):
-    with open(path, "w") as fh:
-        fh.write(",".join(ENERGY_COLUMNS) + "\n")
-        for rec in records:
-            fh.write(",".join(_fmt(v) for v in energy_row(rec)) + "\n")
-
-
 def _outline(mesh, disp=None, mag=0.0):
     pts = mesh.nodes.copy()
     if disp is not None:
@@ -745,9 +725,6 @@ def main(argv=None) -> int:
     except (ConfigError, MeshError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    except DeadlockError as exc:
-        print(f"time-step deadlock: {exc}", file=sys.stderr)
-        return 4
     except (EvolveError, QPError, KernelError, AssemblyError, SteklovError,
             ContactError) as exc:
         print(f"solver failure: {exc}", file=sys.stderr)

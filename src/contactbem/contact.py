@@ -151,17 +151,17 @@ def contact_mass(pair: ContactPair) -> np.ndarray:
 
 # -- incremental functional ---------------------------------------------------
 
-def incremental_energy(w_t, w_n, alpha, beta, op, law: ContactLaw,
+def incremental_energy(w_t, w_n, alpha, beta, op, g_D, f_N, law: ContactLaw,
                        tau: float, chi: float, z_prev: GapState) -> float:
     """Value of the per-step boundary functional at (w, alpha, beta).
 
-    Sum of the elastic potential of the solved coupled state at gap w, the
-    quadratic compliance term in beta and the friction work coupling the
-    frozen penetration weight to the slip magnitude alpha (N mm).
+    Sum of the elastic potential of the coupled state solved for the
+    boundary data (g_D, f_N) at gap w, the quadratic compliance term in beta
+    and the friction work coupling the frozen penetration weight to the slip
+    magnitude alpha (N mm).
     """
-    pair = op.im.pair
-    M = contact_mass(pair)
-    e = op.potential(op.solve(frame_join(pair, w_t, w_n)))
+    M = op.M
+    e = op.potential(op.solve(frame_join(op.im.pair, w_t, w_n), g_D, f_N))
     e += 0.5 * (tau * law.k_g / (tau + chi)) * beta @ (M @ beta)
     e += law.mu * law.k_g * (z_prev.beta_prev() @ (M @ alpha))
     return float(e)

@@ -19,7 +19,7 @@ import numpy as np
 from .contact import (
     ContactLaw,
     GapState,
-    contact_mass,
+    contact_mass,  # unused here; perfbench/probe.py wraps qp.contact_mass
     frame_split,
     mosco_bounds,
     split_y,
@@ -58,24 +58,19 @@ class QPSolution:
     n_backsolves: int = 0
 
 
-def apply_operator(p: QPProblem, y: np.ndarray) -> np.ndarray:
-    return p.apply_A(y)
-
-
-def build_qp(op, law: ContactLaw, tau: float, chi: float,
+def build_qp(op, offset, law: ContactLaw, tau: float, chi: float,
              z_prev: GapState) -> QPProblem:
-    """Assemble the per-step QP from a Steklov operator with loads baked in.
+    """Assemble the per-step QP from the Steklov operator and the offset
+    state (the solution for the step's boundary data at zero gap).
 
-    The quadratic part combines the elastic contact response (through the
-    frame rotation and the variable transform) with the compliance mass
-    term; the linear part carries the load offset and the frozen friction
-    coupling.
+    The quadratic part combines the elastic contact response (the operator's
+    frame blocks of the dense Hessian, so applications in the solver are
+    plain matvecs) with the compliance mass term; the linear part carries
+    the load offset and the frozen friction coupling.
     """
-    pair = op.im.pair
-    M = contact_mass(pair)
+    M = op.M
     c_beta = tau * law.k_g / (tau + chi)
-    g_off = op.gradient_offset()
-    g_off_t, g_off_n = frame_split(pair, g_off)
+    g_off_t, g_off_n = frame_split(op.im.pair, op.gradient(offset))
     fric = law.mu * law.k_g * (M @ z_prev.beta_prev())
     b = -np.concatenate([
         0.5 * fric + 0.5 * g_off_t,
@@ -84,20 +79,7 @@ def build_qp(op, law: ContactLaw, tau: float, chi: float,
         g_off_n,
     ])
     xi = mosco_bounds(z_prev, tau, chi)
-
-    # the gap Hessian is load-independent; densify it once (cached on the
-    # assembly) so operator applications in the solver are plain matvecs
-    H = op.hessian()
-    n_w = H.shape[0]
-    R = np.zeros((n_w, n_w))  # global xy components <- nodal (t, n) frames
-    R[0::2, 0::2] = np.diag(pair.tangent[:, 0])
-    R[1::2, 0::2] = np.diag(pair.tangent[:, 1])
-    R[0::2, 1::2] = np.diag(pair.normal[:, 0])
-    R[1::2, 1::2] = np.diag(pair.normal[:, 1])
-    S = R.T @ H @ R
-    T = S[0::2, 0::2]  # tangential block in the nodal contact frames
-    U = S[0::2, 1::2]
-    V = S[1::2, 1::2]
+    T, U, V = op.T, op.U, op.V
     Cb = c_beta * M
 
     def apply_A(y):
@@ -115,7 +97,7 @@ def build_qp(op, law: ContactLaw, tau: float, chi: float,
         np.diag(Cb) + np.diag(V), np.diag(V),
     ])
     return QPProblem(apply_A=apply_A, b=b, xi=xi,
-                     c=float(op.potential(op.offset)), diag=diag)
+                     c=op.potential(offset), diag=diag)
 
 
 def estimate_norm(apply_A, dim: int, iters: int = 20, seed: int = 0) -> float:
@@ -221,13 +203,10 @@ def mprgp_solve(p: QPProblem, y0: np.ndarray = None, rtol: float = 1e-8,
                 if np.isfinite(a_f):
                     y = y - a_f * d
                     g = g - a_f * Ad
-                    nb_extra = 0
-                else:
-                    nb_extra = 0
                 act, free_g, _ = parts(y, g)
                 y = np.maximum(y - abar * free_g, xi)
                 g = apply_A(y) - b
-                nb += 1 + nb_extra
+                nb += 1
                 act, free_g, chop_g = parts(y, g)
                 d = free_g.copy()
         else:

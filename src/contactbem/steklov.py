@@ -7,89 +7,70 @@ coupled system K x = r + W w, the elastic potential of the solved state is
 Phi(w) = -x^T (r + W w) / 2, so grad_w Phi = -W^T x and the contact Hessian
 is -W^T K^{-1} W.  The Hessian is positive semidefinite; its nullspace holds
 the rigid motions of a body that is supported through the contact alone.
+
+Nothing here depends on the load: the operator is built once per assembled
+system, and the boundary data of a step enter as arguments.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass, field
 
 import numpy as np
 
 from .assembly import (
     BoundarySolution,
     InfluenceMatrices,
-    _master_w_columns,
-    known_data_vector,
-    mass_matrix,
+    check_residual,
     solve_tbvp,
 )
+from .contact import contact_mass
 
 
 class SteklovError(RuntimeError):
     pass
 
 
-@dataclass
 class SteklovOperator:
-    """Affine solution map w -> boundary state, with contact calculus.
+    """Affine solution map (w, boundary data) -> boundary state.
 
-    The boundary data (g_D, f_N) enter through a cached offset solution; the
-    homogeneous part is linear in w.
+    Owns the load-independent contact quantities of one assembly: the
+    contact mass M, the contact Hessian H and the blocks T, U, V of
+    R^T H R in the nodal (t, n) frames of the master contact nodes.
     """
 
-    im: InfluenceMatrices
-    g_D: list = None
-    f_N: list = None
-    offset: BoundarySolution = None
-    _M_w: np.ndarray = field(default=None, repr=False)  # B contact mass, w cols
-    _wcols: np.ndarray = field(default=None, repr=False)
-    _r: np.ndarray = field(default=None, repr=False)
-    _H: np.ndarray = field(default=None, repr=False)
-
-    def __post_init__(self):
-        pair = self.im.pair
+    def __init__(self, im: InfluenceMatrices):
+        pair = im.pair
         if pair is None:
             raise SteklovError("contact operator needs a two-domain assembly")
-        self._wcols = _master_w_columns(pair)
-        M_C = mass_matrix(pair.mesh_B, "C")
-        self._M_w = M_C[:, self._wcols]
-        if self.g_D is None:
-            self.g_D = [None, None]
-        if self.f_N is None:
-            self.f_N = [None, None]
-        self._r = self.im.R_known @ known_data_vector(self.im, self.g_D, self.f_N)
-        self.offset = solve_tbvp(
-            self.im, self.g_D, self.f_N, w=np.zeros(self.n_w)
-        )
+        self.im = im
+        self.M = contact_mass(pair)
+        self.H = self.hessian()
+        n_w = self.n_w
+        R = np.zeros((n_w, n_w))  # global xy components <- nodal (t, n) frames
+        R[0::2, 0::2] = np.diag(pair.tangent[:, 0])
+        R[1::2, 0::2] = np.diag(pair.tangent[:, 1])
+        R[0::2, 1::2] = np.diag(pair.normal[:, 0])
+        R[1::2, 1::2] = np.diag(pair.normal[:, 1])
+        S = R.T @ self.H @ R
+        self.T = S[0::2, 0::2]  # tangential block
+        self.U = S[0::2, 1::2]  # tangential-normal coupling
+        self.V = S[1::2, 1::2]  # normal block
 
     @property
     def n_w(self) -> int:
         """Number of scalar gap dofs (two per master contact node)."""
-        return len(self._wcols)
+        return self.im.W.shape[1]
+
+    def solve(self, w: np.ndarray, g_D, f_N) -> BoundarySolution:
+        """Full affine state for boundary data (g_D, f_N) and gap w."""
+        return solve_tbvp(self.im, g_D, f_N, w=w)
 
     def apply(self, w: np.ndarray) -> BoundarySolution:
         """Homogeneous response to the gap field alone (zero boundary data)."""
-        return solve_tbvp(self.im, [None, None], [None, None], w=w)
-
-    def solve(self, w: np.ndarray) -> BoundarySolution:
-        """Full affine state for the stored boundary data and gap w."""
-        return solve_tbvp(self.im, self.g_D, self.f_N, w=w)
-
-    def trace_master(self, sol: BoundarySolution) -> np.ndarray:
-        """Master-side contact displacement trace, nodal (2 per node)."""
-        return sol.v[1][self._wcols]
+        return self.solve(w, [None, None], [None, None])
 
     def gradient(self, sol: BoundarySolution) -> np.ndarray:
         """d(elastic potential)/dw of the solved state (exact discretely)."""
         return -self.im.W.T @ sol.x
-
-    def traction_master(self, sol: BoundarySolution) -> np.ndarray:
-        """Master-side contact traction projected onto the nodal basis.
-
-        Converges to -grad_w but is assembled from the master traction trace,
-        so it serves as an independent diagnostic.
-        """
-        return self._M_w.T @ sol.p[1]
 
     def potential(self, sol: BoundarySolution) -> float:
         """Elastic potential of a solved state (includes data work terms)."""
@@ -107,26 +88,15 @@ class SteklovOperator:
         return float(e)
 
     def hessian(self) -> np.ndarray:
-        """Dense contact Hessian: one backsolve per gap dof.
+        """Dense contact Hessian -W^T K^{-1} W, one backsolve per gap dof.
 
-        Load-independent, so it is cached on the assembly and shared by all
-        operators built on the same factorization.
+        Column by column on purpose: a multi-RHS backsolve and a matrix
+        product round differently in the last bits, and an adaptive march
+        amplifies that through MPRGP's stopping test (the ledger of the
+        skewed preset moves by 3e-8 relative).
         """
-        if self._H is None:
-            H = getattr(self.im, "_contact_hessian", None)
-            if H is None:
-                n = self.n_w
-                H = np.empty((n, n))
-                e = np.zeros(n)
-                for i in range(n):
-                    e[i] = 1.0
-                    H[:, i] = self.gradient(self.apply(e))
-                    e[i] = 0.0
-                H = 0.5 * (H + H.T)
-                self.im._contact_hessian = H
-            self._H = H
-        return self._H
-
-    def gradient_offset(self) -> np.ndarray:
-        """Gradient contribution of the boundary data (gradient at w = 0)."""
-        return self.gradient(self.offset)
+        im = self.im
+        X = np.column_stack([im.solve(w) for w in im.W.T])
+        check_residual(im, X, im.W)
+        H = np.column_stack([-im.W.T @ x for x in X.T])
+        return 0.5 * (H + H.T)

@@ -5,11 +5,14 @@ single pass/fail verdict line directly to the terminal (bypassing pytest
 capture) so a plain ``pytest -v`` run shows all eleven verdicts.
 
 The shipped presets are exercised at their stock settings; expensive runs
-are shared through module-scoped fixtures.
+are shared through module-scoped fixtures.  The same runs are also compared
+with golden outputs of the solver (tests/data/golden_presets.npz), so a
+refactor that keeps every criterion but moves the numbers shows up.
 """
 
 import itertools
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -17,6 +20,7 @@ import pytest
 from contactbem.assembly import assemble, solve_tbvp
 from contactbem.cli import (
     build_system,
+    energy_row,
     parse_scenario,
     preset_conforming,
     preset_receding,
@@ -209,8 +213,9 @@ def test_criterion_05_coulomb_cone(capsys, receding):
     sc, system, records = receding
     rec, z_prev = records[-1], records[-2].z
     g_til = modified_dirichlet(system.loads, rec.t, rec.tau, sc.chi)
-    op = SteklovOperator(system.im, g_D=g_til, f_N=system.loads.f_at(rec.t))
-    qp = build_qp(op, sc.law, rec.tau, sc.chi, z_prev)
+    op = SteklovOperator(system.im)
+    offset = op.solve(np.zeros(op.n_w), g_til, system.loads.f_at(rec.t))
+    qp = build_qp(op, offset, sc.law, rec.tau, sc.chi, z_prev)
     g1, g2, _, _ = split_y(qp.apply_A(rec.y) - qp.b)
     F_t = g1 - g2  # nodal tangential contact force
     F_mu = g1 + g2  # nodal friction bound (mu k_g M beta weight)
@@ -353,3 +358,43 @@ def test_criterion_11_friction_jump(capsys, skewed_system):
     report(capsys, 11, "large-friction separation jump", ok,
            f"mu=1.1 one-step collapse at step(s) {series[1.1]}, "
            f"mu=0.2 jump steps {series[0.2]} (none expected)")
+
+
+# -- golden preset outputs -----------------------------------------------------
+
+def _column_deviation(got, ref):
+    """Largest |got - ref| of a column over that column's largest |ref|."""
+    got, ref = got.reshape(len(ref), -1), ref.reshape(len(ref), -1)
+    dev = np.abs(got - ref).max(axis=0)
+    return float((dev / np.maximum(np.abs(ref).max(axis=0), 1e-300)).max())
+
+
+def test_golden_preset_outputs(capsys, receding, conforming, skewed):
+    """The stock preset runs reproduce tests/data/golden_presets.npz.
+
+    receding and conforming: every energy_log.csv column and the final p_n
+    within 1e-9 of the column's largest magnitude.  skewed (adaptive): the
+    same accepted-step count, the ledger sums (R1, twoR2, work, deltaE)
+    within 1e-9 relative and the final p_n as above.
+    """
+    golden = np.load(Path(__file__).parent / "data" / "golden_presets.npz")
+    devs = {}
+    for name, (_, _, records) in (("receding", receding),
+                                  ("conforming", conforming)):
+        energy = np.array([energy_row(r) for r in records])
+        assert energy.shape == golden[f"{name}_energy"].shape, name
+        devs[f"{name} energy_log"] = _column_deviation(
+            energy, golden[f"{name}_energy"])
+        devs[f"{name} p_n"] = _column_deviation(records[-1].p_n,
+                                                golden[f"{name}_p_n"])
+    records = skewed[2]
+    assert len(records) == int(golden["skewed_steps"])
+    ledger = np.array([energy_row(r) for r in records])[:, 3:7].sum(axis=0)
+    ref = golden["skewed_ledger"]
+    devs["skewed ledger"] = float((np.abs(ledger - ref) / np.abs(ref)).max())
+    devs["skewed p_n"] = _column_deviation(records[-1].p_n,
+                                           golden["skewed_p_n"])
+    detail = ", ".join(f"{k} {v:.1e}" for k, v in devs.items())
+    with capsys.disabled():
+        print(f"golden preset deviations: {detail}")
+    assert max(devs.values()) <= 1e-9, detail

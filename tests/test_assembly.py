@@ -6,11 +6,8 @@ from contactbem.assembly import (
     DomainDof,
     _domain_matrices,
     assemble,
-    dump_factorization,
-    geometry_hash,
     known_data_vector,
-    mass_matrix,
-    restore_factorization,
+    scatter_solution,
     solve_tbvp,
 )
 from contactbem.mesh import (
@@ -72,10 +69,10 @@ def test_phi_wraparound_merge():
 def test_mass_matrix_closed_form():
     mesh = square(("D", "N", "N", "N"), side=2.0)
     dd = DomainDof(mesh, MAT)
-    M = mass_matrix(mesh, "D")
+    Mg = _domain_matrices(dd)[3]
     rows = dd.phi_dofs_of_element(0)
     cols = dd.psi_dofs_of_element(0)
-    B = M[np.ix_(rows, cols)]
+    B = Mg[np.ix_(rows, cols)]
     L = 2.0
     ref = np.zeros((4, 4))
     for m in range(2):
@@ -84,10 +81,13 @@ def test_mass_matrix_closed_form():
             ref[2 * m, 2 * n] = v
             ref[2 * m + 1, 2 * n + 1] = v
     assert np.allclose(B, ref, atol=1e-14)
-    # nothing outside the selected part
-    mask = np.zeros_like(M, dtype=bool)
-    mask[np.ix_(rows, cols)] = True
-    assert np.all(M[~mask] == 0.0)
+    # element 0's traction shapes (split from its neighbours at the corners)
+    # pair with its own nodal shapes only
+    rest = Mg[rows].copy()
+    rest[:, cols] = 0.0
+    assert np.all(rest == 0.0)
+    # each component integrates the unit partition over the perimeter
+    assert Mg.sum() == pytest.approx(2 * 4 * L, rel=1e-14)
 
 
 def test_rigid_translation_annihilated():
@@ -232,15 +232,22 @@ def test_known_vector_matches_columns():
     assert vec.shape[0] == im.R_known.shape[1]
 
 
-def test_factorization_dump_restore(tmp_path):
-    mesh = square(("D", "N", "N", "N"), n=2)
-    im = assemble(mesh, None, MAT)
-    key = geometry_hash([mesh], [MAT])
-    path = tmp_path / "factor.npz"
-    dump_factorization(im, path, key)
-    rhs = np.arange(im.layout.n_unknowns, dtype=float)
-    x_ref = im.solve(rhs)
-    im._factor = None
-    assert restore_factorization(im, str(path), key)
-    assert np.allclose(im.solve(rhs), x_ref)
-    assert not restore_factorization(im, str(path), "other-key")
+def test_scatter_solution_matches_block_loop():
+    """The precomputed scatter index arrays place every unknown where the
+    per-block layout says, and keep the prescribed data elsewhere."""
+    meshA, meshB = _stacked_pair(3, 2)
+    im = assemble([meshA, meshB], pair_contacts(meshA, meshB), [MAT, MAT])
+    rng = np.random.default_rng(5)
+    x = rng.normal(size=im.layout.n_unknowns)
+    g_D = [rng.normal(size=2 * dd.n_psi) for dd in im.layout.domains]
+    f_N = [rng.normal(size=2 * dd.n_phi) for dd in im.layout.domains]
+    sol = scatter_solution(im, x, g_D, f_N)
+    for di, dd in enumerate(im.layout.domains):
+        p = np.where(dd.trac_unknown, 0.0, f_N[di])
+        v = np.where(dd.disp_known, g_D[di], 0.0)
+        for name, out, dofs in (("pD", p, dd.pD), ("vN", v, dd.vN),
+                                ("pC", p, dd.pC), ("vC", v, dd.vC)):
+            for g, d in zip(im.layout.blocks[(di, name)], dofs):
+                out[d] = x[g]
+        assert np.array_equal(sol.p[di], p)
+        assert np.array_equal(sol.v[di], v)

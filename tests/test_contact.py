@@ -22,6 +22,7 @@ from contactbem.steklov import SteklovOperator
 
 MAT = Material(young_modulus=200.0, poisson_ratio=0.3)
 RNG = np.random.default_rng(11)
+NO_DATA = [None, None]  # homogeneous boundary data of both domains
 
 
 def stacked_pair(nA=3, nB=3, side=1.0):
@@ -136,19 +137,20 @@ def test_incremental_energy_terms():
     op = SteklovOperator(im)
     n_c = pair.n_master_nodes
     zero = np.zeros(n_c)
-    assert incremental_energy(zero, zero, zero, zero, op, law, tau, chi,
-                              GapState.rest(n_c)) == 0.0
+    assert incremental_energy(zero, zero, zero, zero, op, NO_DATA, NO_DATA,
+                              law, tau, chi, GapState.rest(n_c)) == 0.0
     # beta-only: quadratic compliance with the consistent mass
     beta = RNG.uniform(0.1, 1.0, size=n_c) * 1e-3
     M = contact_mass(pair)
-    e = incremental_energy(zero, zero, zero, beta, op, law, tau, chi,
-                           GapState.rest(n_c))
+    e = incremental_energy(zero, zero, zero, beta, op, NO_DATA, NO_DATA, law,
+                           tau, chi, GapState.rest(n_c))
     assert e == pytest.approx(
         0.5 * (tau * law.k_g / (tau + chi)) * beta @ M @ beta, rel=1e-12)
     # alpha-only with frozen penetration: linear friction work
     z = GapState(z_t=zero, z_n=np.full(n_c, -2e-4))
     alpha = RNG.uniform(0.1, 1.0, size=n_c) * 1e-3
-    e = incremental_energy(zero, zero, alpha, zero, op, law, tau, chi, z)
+    e = incremental_energy(zero, zero, alpha, zero, op, NO_DATA, NO_DATA, law,
+                           tau, chi, z)
     assert e == pytest.approx(law.mu * law.k_g * 2e-4 * (M @ alpha).sum(),
                               rel=1e-12)
 
@@ -169,9 +171,10 @@ def test_smooth_part_gradient_fd():
                  z_n=-np.abs(RNG.normal(size=n_c)) * 1e-4)
 
     def f(wt, wn):
-        return incremental_energy(wt, wn, alpha, beta, op, law, tau, chi, z)
+        return incremental_energy(wt, wn, alpha, beta, op, NO_DATA, NO_DATA,
+                                  law, tau, chi, z)
 
-    g = op.gradient(op.solve(frame_join(pair, w_t, w_n)))
+    g = op.gradient(op.solve(frame_join(pair, w_t, w_n), NO_DATA, NO_DATA))
     g_t, g_n = frame_split(pair, g)
     h = 1e-6
     for i in range(n_c):
@@ -194,7 +197,8 @@ def test_convexity_segments():
 
     def f(s):
         wt, wn, a, b = s
-        return incremental_energy(wt, wn, a, b, op, law, tau, chi, z)
+        return incremental_energy(wt, wn, a, b, op, NO_DATA, NO_DATA, law, tau,
+                                  chi, z)
 
     for _ in range(10):
         sa = RNG.normal(size=(4, n_c)) * 1e-3

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from contactbem.assembly import assemble
+from contactbem.assembly import _master_w_columns, assemble
 from contactbem.contact import ContactLaw, GapState, contact_mass
 from contactbem.evolve import (
     EnergyResiduum,
@@ -147,9 +147,10 @@ def test_gap_recursion_exact():
     pair, im = stacked_system()
     lp = pressure_ramp(im, -0.5, t_ramp=5e-3, t_end=1e-2)
     chi, tau = 1e-3, 1e-3
+    op = SteklovOperator(im)
     state = EvolutionState.initial(im)
     for _ in range(3):
-        result = step(im, LAW, chi, lp, state, tau)
+        result = step(op, LAW, chi, lp, state, tau)
         # reconstruct w from the recursion and re-apply it
         lam = tau / (tau + chi)
         w_t = (result.state.z.z_t - (1 - lam) * state.z.z_t) / lam
@@ -163,13 +164,11 @@ def test_chi_zero_degenerate_recursion():
     pair, im = stacked_system()
     lp = pressure_ramp(im, -0.5, t_ramp=5e-3, t_end=1e-2)
     state = EvolutionState.initial(im)
-    result = step(im, LAW, chi=0.0, loads=lp, state=state, tau=1e-3)
+    result = step(SteklovOperator(im), LAW, chi=0.0, loads=lp, state=state,
+                  tau=1e-3)
     # z^k = w^k when chi = 0: the fictitious trace is the real one
-    op = SteklovOperator(im)
-    sol = result.sol
-    wcols = op._wcols
-    w_master = sol.v[1][wcols]
-    vA = result.state.u[0]
+    wcols = _master_w_columns(pair)
+    w_master = result.sol.v[1][wcols]
     assert np.allclose(result.state.u[1][wcols], w_master, atol=1e-14)
 
 
@@ -212,6 +211,45 @@ def test_dirichlet_squeeze_lift_terms():
         assert r.residuum.delta >= -1e-9 * r.residuum.scale
 
 
+def test_no_load_independent_rebuild_per_step(monkeypatch):
+    """Once the operator exists, steps (lift solves included) construct no
+    DomainDof, call no contact_mass and build no Hessian; a run builds its
+    operator once."""
+    from contactbem import assembly, contact, evolve, qp, steklov
+
+    pair, im = stacked_system(top_tag="D")
+    g1 = np.zeros(2 * pair.mesh_A.n_nodes)
+    g1[1::2] = -2e-4
+    lp = LoadProgram(times=[0.0, 5e-3, 1e-2],
+                     g_D=[np.stack([0 * g1, g1, g1]), None], f_N=[None, None])
+    op = SteklovOperator(im)
+    calls = dict.fromkeys(("DomainDof", "contact_mass", "hessian",
+                           "SteklovOperator"), 0)
+
+    def counted(owner, name):
+        func = getattr(owner, name)
+        key = name if name != "__post_init__" else "DomainDof"
+
+        def wrapper(*args, **kwargs):
+            calls[key] += 1
+            return func(*args, **kwargs)
+        monkeypatch.setattr(owner, name, wrapper)
+
+    counted(assembly.DomainDof, "__post_init__")
+    for module in (contact, evolve, qp, steklov):
+        counted(module, "contact_mass")
+    counted(steklov.SteklovOperator, "hessian")
+    counted(evolve, "SteklovOperator")
+    state = EvolutionState.initial(im)
+    for _ in range(4):
+        state = step(op, LAW, 1e-3, lp, state, 1e-3).state
+    assert calls == dict.fromkeys(calls, 0)
+    recs = run(im, LAW, chi=1e-3, loads=lp, t_end=5e-3, tau=1e-3)
+    assert len(recs) == 5
+    assert calls == {"DomainDof": 0, "contact_mass": 1, "hessian": 1,
+                     "SteklovOperator": 1}
+
+
 def test_adaptive_run_respects_epsilon():
     pair, im = stacked_system(top_tag="D")
     meshA = im.pair.mesh_A
@@ -249,6 +287,6 @@ def test_contact_traction_extraction_constant_state():
     sol = solve_tbvp(im, [np.zeros(2 * pair.mesh_A.n_nodes), g_B],
                      [top_pressure_vector(im, f), None],
                      w=np.zeros(2 * pair.n_master_nodes))
-    p_t, p_n = contact_tractions(im, sol)
+    p_t, p_n = contact_tractions(SteklovOperator(im), sol)
     assert np.allclose(p_n, f, rtol=1e-6)
     assert np.abs(p_t).max() <= 1e-6 * abs(f)

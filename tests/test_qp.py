@@ -9,7 +9,6 @@ from contactbem.mesh import Material, build_mesh, pair_contacts
 from contactbem.qp import (
     QPError,
     QPProblem,
-    apply_operator,
     build_qp,
     estimate_norm,
     mprgp_solve,
@@ -39,7 +38,9 @@ def stacked_op(nA=2, nB=2, pressure=-2.0):
     for e in range(meshA.n_elements):
         if meshA.part_tag[e] == "N" and element_frame(meshA, e)[1][1] > 0.5:
             f[ddA.phi_dofs_of_element(e)[1::2]] = pressure
-    return pair, SteklovOperator(im, f_N=[f, None])
+    op = SteklovOperator(im)
+    data = ([None, None], [f, None])
+    return pair, op, data, op.solve(np.zeros(op.n_w), *data)
 
 
 def dense_matrix(p):
@@ -47,7 +48,7 @@ def dense_matrix(p):
     e = np.zeros(p.dim)
     for i in range(p.dim):
         e[i] = 1.0
-        A[:, i] = apply_operator(p, e)
+        A[:, i] = p.apply_A(e)
         e[i] = 0.0
     return A
 
@@ -84,9 +85,9 @@ def oracle_solve(A, b, xi):
 
 
 def test_operator_symmetry_and_semidefiniteness():
-    pair, op = stacked_op()
+    pair, op, _, offset = stacked_op()
     z = GapState.rest(pair.n_master_nodes)
-    p = build_qp(op, LAW, tau=1e-3, chi=1e-3, z_prev=z)
+    p = build_qp(op, offset, LAW, tau=1e-3, chi=1e-3, z_prev=z)
     for _ in range(5):
         y1, y2 = RNG.normal(size=(2, p.dim))
         a1, a2 = p.apply_A(y1), p.apply_A(y2)
@@ -99,18 +100,19 @@ def test_operator_symmetry_and_semidefiniteness():
 def test_dense_operator_matches_fd_hessian():
     """The implicit QP operator equals the central-difference Hessian of the
     incremental functional pulled back to the transformed variables."""
-    pair, op = stacked_op()
+    pair, op, data, offset = stacked_op()
     n_c = pair.n_master_nodes
     z = GapState(z_t=RNG.normal(size=n_c) * 1e-4,
                  z_n=-np.abs(RNG.normal(size=n_c)) * 1e-4)
     tau, chi = 1e-3, 5e-4
-    p = build_qp(op, LAW, tau, chi, z)
+    p = build_qp(op, offset, LAW, tau, chi, z)
     A = dense_matrix(p)
     assert np.abs(A - A.T).max() <= 1e-9 * np.abs(A).max()
 
     def f(y):
         alpha, beta, w_t, w_n = y_to_awb(y)
-        return incremental_energy(w_t, w_n, alpha, beta, op, LAW, tau, chi, z)
+        return incremental_energy(w_t, w_n, alpha, beta, op, *data, LAW, tau,
+                                  chi, z)
 
     h = 1e-5
     y0 = RNG.normal(size=p.dim) * 1e-4
@@ -127,15 +129,16 @@ def test_dense_operator_matches_fd_hessian():
 
 
 def test_objective_equals_incremental_energy():
-    pair, op = stacked_op()
+    pair, op, data, offset = stacked_op()
     n_c = pair.n_master_nodes
     z = GapState(z_t=np.zeros(n_c), z_n=np.full(n_c, -1e-4))
     tau, chi = 1e-3, 1e-3
-    p = build_qp(op, LAW, tau, chi, z)
+    p = build_qp(op, offset, LAW, tau, chi, z)
     for _ in range(3):
         y = RNG.normal(size=p.dim) * 1e-4
         alpha, beta, w_t, w_n = y_to_awb(y)
-        e = incremental_energy(w_t, w_n, alpha, beta, op, LAW, tau, chi, z)
+        e = incremental_energy(w_t, w_n, alpha, beta, op, *data, LAW, tau,
+                               chi, z)
         assert p.objective(y) == pytest.approx(e, rel=1e-9, abs=1e-16)
 
 
@@ -185,10 +188,10 @@ def test_objective_monotone_and_kkt():
 def test_semidefinite_alpha_direction_handled():
     """The built contact QP has zero curvature along pure slip-magnitude
     directions; the solver must still converge (bounds catch the descent)."""
-    pair, op = stacked_op()
+    pair, op, _, offset = stacked_op()
     n_c = pair.n_master_nodes
     z = GapState(z_t=np.zeros(n_c), z_n=np.full(n_c, -5e-5))
-    p = build_qp(op, LAW, tau=1e-3, chi=1e-3, z_prev=z)
+    p = build_qp(op, offset, LAW, tau=1e-3, chi=1e-3, z_prev=z)
     sol = mprgp_solve(p, rtol=1e-9)
     alpha, beta, w_t, w_n = y_to_awb(sol.y)
     # slip magnitude tight against |w_t - z_t| at the optimum

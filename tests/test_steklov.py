@@ -1,7 +1,12 @@
 import numpy as np
 import pytest
 
-from contactbem.assembly import _element_mass_block, assemble, solve_tbvp
+from contactbem.assembly import (
+    _element_mass_block,
+    _master_w_columns,
+    assemble,
+    solve_tbvp,
+)
 from contactbem.mesh import Material, build_mesh, element_frame, pair_contacts
 from contactbem.steklov import SteklovError, SteklovOperator
 
@@ -46,13 +51,30 @@ def _top_pressure(im, value):
 
 def test_superposition():
     *_, im = stacked_pair(3, 3)
-    op = SteklovOperator(im, f_N=[_top_pressure(im, -1.0), None])
+    op = SteklovOperator(im)
+    f_N = [_top_pressure(im, -1.0), None]
     w = RNG.normal(size=op.n_w) * 1e-3
-    full = op.solve(w)
+    full = op.solve(w, [None, None], f_N)
+    offset = op.solve(np.zeros(op.n_w), [None, None], f_N)
     hom = op.apply(w)
     for d in range(2):
-        assert np.allclose(full.p[d], op.offset.p[d] + hom.p[d], atol=1e-12)
-        assert np.allclose(full.v[d], op.offset.v[d] + hom.v[d], atol=1e-12)
+        assert np.allclose(full.p[d], offset.p[d] + hom.p[d], atol=1e-12)
+        assert np.allclose(full.v[d], offset.v[d] + hom.v[d], atol=1e-12)
+
+
+def test_hessian_equals_column_construction():
+    """The multi-RHS Hessian equals the one built column by column from the
+    gradient of the homogeneous response to each unit gap."""
+    *_, im = stacked_pair(4, 3)
+    op = SteklovOperator(im)
+    n = op.n_w
+    H_ref = np.empty((n, n))
+    for i in range(n):
+        e = np.zeros(n)
+        e[i] = 1.0
+        H_ref[:, i] = op.gradient(op.apply(e))
+    H_ref = 0.5 * (H_ref + H_ref.T)
+    assert np.abs(op.H - H_ref).max() <= 1e-12 * np.abs(H_ref).max()
 
 
 def test_hessian_psd_with_rigid_nullspace():
@@ -60,7 +82,7 @@ def test_hessian_psd_with_rigid_nullspace():
     equal to its rigid-motion traces cost no energy; everything else does."""
     meshA, meshB, pair, im = stacked_pair(4, 4)
     op = SteklovOperator(im)
-    H = op.hessian()
+    H = op.H
     assert H.shape == (op.n_w, op.n_w)
     pos = np.array([pair.mesh_B.nodes[n] for n in pair.nodes_B])
     rigid = np.zeros((3, op.n_w))
@@ -82,7 +104,7 @@ def test_hessian_psd_with_rigid_nullspace():
 def test_hessian_pd_when_upper_body_clamped():
     *_, im = stacked_pair(3, 3, clamp_top=True)
     op = SteklovOperator(im)
-    ev = np.linalg.eigvalsh(op.hessian())
+    ev = np.linalg.eigvalsh(op.H)
     assert ev.min() > 0.0
 
 
@@ -91,14 +113,16 @@ def test_gradient_matches_finite_differences():
     meshA, meshB, pair, im = stacked_pair(3, 3)
     g_B = np.zeros(2 * meshB.n_nodes)
     g_B[0::2] = 1e-4  # uniform horizontal shift of the support
-    op = SteklovOperator(im, g_D=[None, g_B], f_N=[_top_pressure(im, -2.0), None])
+    op = SteklovOperator(im)
+    data = ([None, g_B], [_top_pressure(im, -2.0), None])
     w0 = RNG.normal(size=op.n_w) * 1e-3
-    g = op.gradient(op.solve(w0))
+    g = op.gradient(op.solve(w0, *data))
     h = 1e-6
     for i in range(op.n_w):
         e = np.zeros(op.n_w)
         e[i] = h
-        de = (op.potential(op.solve(w0 + e)) - op.potential(op.solve(w0 - e))) / (2 * h)
+        de = (op.potential(op.solve(w0 + e, *data))
+              - op.potential(op.solve(w0 - e, *data))) / (2 * h)
         assert de == pytest.approx(g[i], rel=1e-6, abs=1e-10)
 
 
@@ -107,21 +131,32 @@ def test_pairing_energy_agrees_on_patch_state():
     the pairing energy and the potential-calculus energy coincide."""
     f = -5.0
     meshA, meshB, pair, im = stacked_pair(4, 4)
-    op = SteklovOperator(im, f_N=[_top_pressure(im, f), None],
-                         g_D=[None, np.zeros(2 * meshB.n_nodes)])
+    op = SteklovOperator(im)
     E, nu = MAT.young_modulus, MAT.poisson_ratio
     # g_D on B's bottom must match the uniaxial state: u = 0 there only if
     # u1 = e11 x1 is zero, so prescribe the exact trace instead
     e11 = -nu * (1 + nu) * f / E
     g_B = np.zeros(2 * meshB.n_nodes)
     g_B[0::2] = e11 * meshB.nodes[:, 0]
-    op = SteklovOperator(im, f_N=[_top_pressure(im, f), None], g_D=[None, g_B])
-    sol = op.offset
+    sol = op.solve(np.zeros(op.n_w), [None, g_B], [_top_pressure(im, f), None])
     e_pair = op.energy_pairing(sol)
     # exact strain energy density * area for uniaxial plane strain
     e22 = f * (1 - nu * nu) / E
     density = 0.5 * f * e22
     assert e_pair == pytest.approx(2.0 * density, rel=1e-6)
+
+
+def _face_mass(mesh, dd, face):
+    """phi x psi mass of the elements in face (rows: traction dofs)."""
+    Mf = np.zeros((2 * dd.n_phi, 2 * mesh.n_nodes))
+    for e in face:
+        _, _, L = element_frame(mesh, e)
+        np.add.at(
+            Mf,
+            (dd.phi_dofs_of_element(e)[:, None], dd.psi_dofs_of_element(e)[None, :]),
+            _element_mass_block(L),
+        )
+    return Mf
 
 
 def _single_domain_trace_operator(poly, spec, contact_pred, master_pos):
@@ -138,14 +173,7 @@ def _single_domain_trace_operator(poly, spec, contact_pred, master_pos):
         assert len(hits) == 1
         order.append(hits[0])
     cols = np.array([2 * n + k for n in order for k in range(2)])
-    Mf = np.zeros((2 * dd.n_phi, 2 * mesh.n_nodes))
-    for e in face:
-        _, _, L = element_frame(mesh, e)
-        np.add.at(
-            Mf,
-            (dd.phi_dofs_of_element(e)[:, None], dd.psi_dofs_of_element(e)[None, :]),
-            _element_mass_block(L),
-        )
+    Mf = _face_mass(mesh, dd, face)
     n_w = len(cols)
     S = np.empty((n_w, n_w))
     for i in range(n_w):
@@ -158,8 +186,7 @@ def _single_domain_trace_operator(poly, spec, contact_pred, master_pos):
 
 def _series_error(n):
     meshA, meshB, pair, im = stacked_pair(n, n)
-    op = SteklovOperator(im)
-    H = op.hessian()
+    H = SteklovOperator(im).H
     master_pos = [pair.mesh_B.nodes[nd] for nd in pair.nodes_B]
     polyB = [(0, 0), (1, 0), (1, 1), (0, 1)]
     specB = [{"tag": "D", "n": n}, {"tag": "N", "n": n},
@@ -198,12 +225,16 @@ def test_gradient_equals_master_traction_on_smooth_state():
     e11 = -nu * (1 + nu) * f / E
     g_B = np.zeros(2 * meshB.n_nodes)
     g_B[0::2] = e11 * meshB.nodes[:, 0]
-    op = SteklovOperator(im, f_N=[_top_pressure(im, f), None], g_D=[None, g_B])
-    g = op.gradient(op.offset)
-    t = op.traction_master(op.offset)
+    op = SteklovOperator(im)
+    sol = op.solve(np.zeros(op.n_w), [None, g_B], [_top_pressure(im, f), None])
+    g = op.gradient(sol)
+    # master-side traction projected onto the nodal gap basis
+    face = [e for e in range(meshB.n_elements) if meshB.part_tag[e] == "C"]
+    M_w = _face_mass(meshB, im.layout.domains[1], face)[:, _master_w_columns(pair)]
+    t = M_w.T @ sol.p[1]
     scale = np.abs(t).max()
     assert np.abs(g + t).max() <= 1e-6 * scale
     # and the projected traction itself matches the constant (0, f)
-    w_shapes = op._M_w.sum(axis=0)  # integral of each nodal shape
+    w_shapes = M_w.sum(axis=0)  # integral of each nodal shape
     assert np.allclose(t[1::2], f * w_shapes[1::2], rtol=1e-6)
     assert np.abs(t[0::2]).max() <= 1e-6 * scale

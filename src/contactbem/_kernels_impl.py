@@ -313,8 +313,14 @@ def pair_blocks(P, Ls, Ns, kind, info, i, j, G, nu):
     U, Tij, Tji = (np.zeros((n, 4, 4)) for _ in range(3))
     D = np.zeros((n, 3))
     acc = (U, Tij, Tji, D)
-    _separated(acc, np.flatnonzero(kind == 0), P, Ls, Ns, i, j, G, nu)
-    _adjacent(acc, np.flatnonzero(kind == 1), P, Ls, Ns, i, j, info, G, nu)
+    # an empty class is skipped, so a one-pair call does not pay the fixed
+    # numpy overhead of the other class's integrator
+    ks = np.flatnonzero(kind == 0)
+    if len(ks):
+        _separated(acc, ks, P, Ls, Ns, i, j, G, nu)
+    ka = np.flatnonzero(kind == 1)
+    if len(ka):
+        _adjacent(acc, ka, P, Ls, Ns, i, j, info, G, nu)
     da = np.stack([-1.0 / Ls[i], 1.0 / Ls[i]], 1)
     db = np.stack([-1.0 / Ls[j], 1.0 / Ls[j]], 1)
     Dm = D[:, [0, 1, 1, 2]].reshape(n, 2, 2)

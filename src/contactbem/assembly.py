@@ -324,6 +324,10 @@ class InfluenceMatrices:
     Mg: list = None  # per-domain phi x psi mass
     asymmetry: float = 0.0
     _factor: tuple = None
+    K_inf: float = field(init=False)  # |K|_inf, the scale of check_residual
+
+    def __post_init__(self):
+        self.K_inf = np.linalg.norm(self.K, ord=np.inf)
 
     def factorize(self):
         Ks = 0.5 * (self.K + self.K.T)
@@ -461,7 +465,7 @@ def check_residual(im: InfluenceMatrices, x: np.ndarray, rhs: np.ndarray) -> flo
     Raises AssemblyError above 1e-10 of the scale |K| |x| + |rhs|.
     """
     res = np.linalg.norm(im.K @ x - rhs)
-    scale = np.linalg.norm(im.K, ord=np.inf) * max(np.linalg.norm(x), 1e-300) + np.linalg.norm(rhs)
+    scale = im.K_inf * max(np.linalg.norm(x), 1e-300) + np.linalg.norm(rhs)
     if res > 1e-10 * scale:
         raise AssemblyError(f"linear residual {res:.3e} above tolerance")
     return float(res)

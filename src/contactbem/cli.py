@@ -497,14 +497,10 @@ CONTACT_COLUMNS = ("step", "t", "node", "s", "x1", "x2", "p_n", "p_t",
                    "z_n", "z_t", "slip")
 ENERGY_COLUMNS = ("t", "tau", "E", "R1", "twoR2", "work", "deltaE",
                   "qp_iters")
-
-
-def _fmt(v) -> str:
-    if isinstance(v, (bool, np.bool_)):
-        return "1" if v else "0"
-    if isinstance(v, (int, np.integer)):
-        return str(int(v))
-    return format(float(v), ".17g")
+# one line per row: %d for step, node, slip flag and iteration count, %.17g
+# (round-trip precision) for every float
+CONTACT_ROW = "%d,%.17g,%d" + ",%.17g" * 7 + ",%d\n"
+ENERGY_ROW = "%.17g," * 7 + "%d\n"
 
 
 def contact_rows(pair, rec):
@@ -629,8 +625,8 @@ def run_scenario(sc: Scenario, out_dir) -> list:
 
     def on_step(rec):
         for row in contact_rows(system.pair, rec):
-            contact_fh.write(",".join(_fmt(v) for v in row) + "\n")
-        energy_fh.write(",".join(_fmt(v) for v in energy_row(rec)) + "\n")
+            contact_fh.write(CONTACT_ROW % row)
+        energy_fh.write(ENERGY_ROW % energy_row(rec))
         contact_fh.flush()
         energy_fh.flush()
         if sc.solver.plot_every and rec.k % sc.solver.plot_every == 0:

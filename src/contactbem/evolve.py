@@ -75,12 +75,14 @@ class LoadProgram:
         return [self._interp(tab, t) for tab in self.f_N]
 
 
-def modified_dirichlet(loads: LoadProgram, t: float, tau: float, chi: float):
-    """Dirichlet data of the fictitious step problem at time t."""
+def modified_dirichlet(g_now, g_old, tau: float, chi: float):
+    """Dirichlet data of the fictitious problem of a step of size tau.
+
+    g_now and g_old are the per-domain Dirichlet data at the end of the step
+    and tau before it.
+    """
     if not tau > 0.0:
         raise EvolveError(f"time step must be positive: {tau}")
-    g_now = loads.g_at(t)
-    g_old = loads.g_at(t - tau)
     out = []
     for gn, go in zip(g_now, g_old):
         out.append(None if gn is None else gn + (chi / tau) * (gn - go))
@@ -170,7 +172,7 @@ class StepResult:
     residuum: EnergyResiduum
     sol: object  # fictitious boundary solution at step k
     qp_iterations: int
-    qp_backsolves: int
+    qp_backsolves: int  # applications of the QP operator A
 
 
 def step(op: SteklovOperator, law: ContactLaw, chi: float, loads: LoadProgram,
@@ -183,7 +185,8 @@ def step(op: SteklovOperator, law: ContactLaw, chi: float, loads: LoadProgram,
     """
     im, pair, M = op.im, op.im.pair, op.M
     t_k = state.t + tau
-    g_tilde = modified_dirichlet(loads, t_k, tau, chi)
+    g_now = loads.g_at(t_k)
+    g_tilde = modified_dirichlet(g_now, loads.g_at(t_k - tau), tau, chi)
     f_k = loads.f_at(t_k)
     offset = op.solve(np.zeros(op.n_w), g_tilde, f_k)
     qp = build_qp(op, offset, law, tau, chi, state.z)
@@ -221,7 +224,7 @@ def step(op: SteklovOperator, law: ContactLaw, chi: float, loads: LoadProgram,
 
     work_mixed = 0.0
     work_lift = 0.0
-    g_now, g_old = loads.g_at(t_k), loads.g_at(state.t)
+    g_old = loads.g_at(state.t)  # rounds differently from g_at(t_k - tau)
     dg = [None if gn is None else gn - go for gn, go in zip(g_now, g_old)]
     if any(g is not None and np.any(g) for g in dg):
         # lift increment: glued-interface equilibrium field with the

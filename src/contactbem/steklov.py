@@ -34,7 +34,8 @@ class SteklovOperator:
 
     Owns the load-independent contact quantities of one assembly: the
     contact mass M, the contact Hessian H and the blocks T, U, V of
-    R^T H R in the nodal (t, n) frames of the master contact nodes.
+    R^T H R in the nodal (t, n) frames of the master contact nodes.  The
+    quadratic parts of the step QPs, one per step size, are kept here too.
     """
 
     def __init__(self, im: InfluenceMatrices):
@@ -54,6 +55,7 @@ class SteklovOperator:
         self.T = S[0::2, 0::2]  # tangential block
         self.U = S[0::2, 1::2]  # tangential-normal coupling
         self.V = S[1::2, 1::2]  # normal block
+        self.qp_parts = {}  # c_beta -> qp.quadratic_part(self, c_beta)
 
     @property
     def n_w(self) -> int:

@@ -212,7 +212,9 @@ def test_criterion_05_coulomb_cone(capsys, receding):
     """
     sc, system, records = receding
     rec, z_prev = records[-1], records[-2].z
-    g_til = modified_dirichlet(system.loads, rec.t, rec.tau, sc.chi)
+    g_til = modified_dirichlet(system.loads.g_at(rec.t),
+                               system.loads.g_at(rec.t - rec.tau),
+                               rec.tau, sc.chi)
     op = SteklovOperator(system.im)
     offset = op.solve(np.zeros(op.n_w), g_til, system.loads.f_at(rec.t))
     qp = build_qp(op, offset, sc.law, rec.tau, sc.chi, z_prev)

@@ -151,6 +151,24 @@ def test_energy_csv_consistent_with_records(tmp_path):
         assert float(row[6]) == rec.residuum.delta
 
 
+def test_csv_row_templates_match_per_value_rendering():
+    """The row templates print ints and slip flags as str(int(v)) and floats
+    as format(float(v), ".17g"), whatever the scalar types."""
+    def reference(row, int_cols):
+        return ",".join(str(int(v)) if c in int_cols
+                        else format(float(v), ".17g")
+                        for c, v in enumerate(row)) + "\n"
+
+    floats = (-0.0, np.float64(-0.0), 0.1, np.float64(-1.0 / 3.0), 1e-300)
+    for slip in (True, np.bool_(False), np.bool_(True)):
+        row = (np.int64(12), floats[2], np.int64(3), *floats, 2.5e7, -7.0,
+               slip)
+        assert cli.CONTACT_ROW % row == reference(row, (0, 2, 10))
+    row = (*floats, np.float64(2e-3), -0.0, np.int64(41))
+    assert cli.ENERGY_ROW % row == reference(row, (7,))
+    assert "-0," in cli.ENERGY_ROW % row
+
+
 def test_reruns_are_deterministic(tmp_path):
     sc = parse_scenario(tiny_scenario())
     cli.run_scenario(sc, tmp_path / "a")

@@ -79,14 +79,17 @@ def test_modified_dirichlet():
     # constant data: no modification
     lpc = LoadProgram(times=[0.0, 1.0], g_D=[np.array([[3.0], [3.0]])],
                       f_N=[None])
-    assert modified_dirichlet(lpc, 0.7, tau, chi=0.5)[0] == pytest.approx(3.0)
+    def tilde(loads, t, tau, chi):
+        return modified_dirichlet(loads.g_at(t), loads.g_at(t - tau), tau, chi)
+
+    assert tilde(lpc, 0.7, tau, chi=0.5)[0] == pytest.approx(3.0)
     # chi = 0: plain evaluation
-    assert modified_dirichlet(lp, 0.7, tau, chi=0.0)[0] == pytest.approx(0.7)
+    assert tilde(lp, 0.7, tau, chi=0.0)[0] == pytest.approx(0.7)
     # chi/tau = 2 on rate-r ramp adds 2 r tau
-    assert modified_dirichlet(lp, 0.7, tau, chi=0.2)[0] == pytest.approx(
+    assert tilde(lp, 0.7, tau, chi=0.2)[0] == pytest.approx(
         0.7 + 2 * 1.0 * tau)
     with pytest.raises(EvolveError):
-        modified_dirichlet(lp, 0.5, 0.0, 0.0)
+        tilde(lp, 0.5, 0.0, 0.0)
 
 
 def test_adapt_tau_rules():
@@ -269,6 +272,36 @@ def test_adaptive_run_respects_epsilon():
     # times strictly increasing
     ts = [r.t for r in recs]
     assert all(b > a for a, b in zip(ts, ts[1:]))
+
+
+def test_qp_norm_estimated_once_per_step_size(monkeypatch):
+    """The quadratic part of the step QP depends only on the step size: an
+    adaptive run that repeats step sizes estimates its norm once per
+    distinct size, not once per attempted step."""
+    from contactbem import evolve, qp
+
+    pair, im = stacked_system(top_tag="D")
+    g1 = np.zeros(2 * pair.mesh_A.n_nodes)
+    g1[1::2] = -5e-4
+    lp = LoadProgram(times=[0.0, 5e-3, 1e-2],
+                     g_D=[np.stack([0 * g1, g1, g1]), None], f_N=[None, None])
+    taus, norms = [], []
+    step_, estimate_norm = evolve.step, qp.estimate_norm
+
+    def counted_step(*args, **kwargs):
+        taus.append(args[5])
+        return step_(*args, **kwargs)
+
+    def counted_norm(*args, **kwargs):
+        norms.append(args[1])
+        return estimate_norm(*args, **kwargs)
+
+    monkeypatch.setattr(evolve, "step", counted_step)
+    monkeypatch.setattr(qp, "estimate_norm", counted_norm)
+    run(im, LAW, chi=1e-3, loads=lp, t_end=1e-2, tau=1e-3, tau_min=1e-6,
+        tau_max=2e-3, eps=1e-7)
+    assert len(taus) > len(set(taus)) > 1
+    assert len(norms) == len(set(taus))
 
 
 def test_contact_traction_extraction_constant_state():

@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 
 import numpy as np
@@ -140,6 +141,24 @@ def test_objective_equals_incremental_energy():
         e = incremental_energy(w_t, w_n, alpha, beta, op, *data, LAW, tau,
                                chi, z)
         assert p.objective(y) == pytest.approx(e, rel=1e-9, abs=1e-16)
+
+
+def test_cached_norm_reproduces_recomputed_norm():
+    """MPRGP with the norm build_qp caches per step size takes exactly the
+    iterates of a solve that estimates the norm itself."""
+    pair, op, data, offset = stacked_op(nA=3, nB=3)
+    rng = np.random.default_rng(5)
+    n = pair.n_master_nodes
+    z_prev = GapState(z_t=rng.normal(size=n) * 1e-4,
+                      z_n=-np.abs(rng.normal(size=n)) * 1e-4)
+    p = build_qp(op, offset, LAW, tau=1e-3, chi=1e-3, z_prev=z_prev)
+    assert p.norm is not None
+    for y0 in (None, p.xi + 1e-4):
+        cached = mprgp_solve(p, y0=y0)
+        fresh = mprgp_solve(dataclasses.replace(p, norm=None), y0=y0)
+        assert np.array_equal(cached.y, fresh.y)
+        assert cached.iterations == fresh.iterations
+        assert cached.n_backsolves == fresh.n_backsolves
 
 
 def test_1d_clamped_minimum():

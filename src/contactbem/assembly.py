@@ -24,6 +24,7 @@ from scipy.linalg import get_lapack_funcs
 
 from .kernels import all_pair_blocks
 from .mesh import (
+    TAG_DIRICHLET_MASK,
     BoundaryMesh,
     ContactPair,
     Material,
@@ -37,28 +38,6 @@ _GW2 = np.array([0.5, 0.5])
 
 class AssemblyError(RuntimeError):
     pass
-
-
-def _phi_unknown(tag: str, comp: int) -> bool:
-    """Is the traction component unknown on an element with this tag?"""
-    if tag in ("D", "C"):
-        return True
-    if tag == "DxNy":
-        return comp == 0
-    if tag == "NxDy":
-        return comp == 1
-    return False
-
-
-def _psi_known(tag: str, comp: int) -> bool:
-    """Is the displacement component prescribed on this element?"""
-    if tag == "D":
-        return True
-    if tag == "DxNy":
-        return comp == 0
-    if tag == "NxDy":
-        return comp == 1
-    return False
 
 
 @dataclass
@@ -76,10 +55,8 @@ class DomainDof:
     phi_of: np.ndarray = None  # (m, 2) -> phi node id
     n_phi: int = 0
     phi_tag: list = None  # tag per phi node
-    phi_pos: np.ndarray = None  # (n_phi, 2) coordinates
     trac_unknown: np.ndarray = None  # bool (2 n_phi)
     disp_known: np.ndarray = None  # bool (2 n_nodes)
-    contact_node: np.ndarray = None  # bool (n_nodes)
     # local block index lists (scalar dof ids in phi/psi spaces)
     pD: np.ndarray = None
     pC: np.ndarray = None
@@ -106,18 +83,15 @@ class DomainDof:
             merged_with_prev[e] = True
         nid = 0
         self.phi_tag = []
-        pos = []
         for e in range(m):
             if e > 0 and merged_with_prev[e]:
                 self.phi_of[e, 0] = self.phi_of[e - 1, 1]
             else:
                 self.phi_of[e, 0] = nid
                 self.phi_tag.append(tags[e])
-                pos.append(mesh.nodes[mesh.elements[e][0]])
                 nid += 1
             self.phi_of[e, 1] = nid
             self.phi_tag.append(tags[e])
-            pos.append(mesh.nodes[mesh.elements[e][1]])
             nid += 1
         # wraparound: merge the end of the last element into the start of the
         # first one; the dropped id is always the freshest, so popping is safe
@@ -125,47 +99,29 @@ class DomainDof:
             self.phi_of[m - 1, 1] = self.phi_of[0, 0]
             nid -= 1
             self.phi_tag.pop()
-            pos.pop()
         self.n_phi = nid
-        self.phi_pos = np.array(pos)
 
-        self.trac_unknown = np.zeros(2 * self.n_phi, dtype=bool)
-        for p, t in enumerate(self.phi_tag):
-            for k in range(2):
-                self.trac_unknown[2 * p + k] = _phi_unknown(t, k)
-
+        # a traction component is unknown where its displacement is
+        # prescribed and on the contact; a displacement component is
+        # prescribed at every node of an element that prescribes it, and a
+        # contact node keeps both displacement components unknown
+        phi_contact = np.repeat(np.array(self.phi_tag) == "C", 2)
+        self.trac_unknown = phi_contact | np.array(
+            [TAG_DIRICHLET_MASK[t] for t in self.phi_tag]).ravel()
         n = mesh.n_nodes
-        self.disp_known = np.zeros(2 * n, dtype=bool)
-        self.contact_node = np.zeros(n, dtype=bool)
-        for e in range(m):
-            t = tags[e]
-            for node in mesh.elements[e]:
-                for k in range(2):
-                    if _psi_known(t, k):
-                        self.disp_known[2 * node + k] = True
-                if t == "C":
-                    self.contact_node[node] = True
-
-        pD, pC = [], []
-        for p, t in enumerate(self.phi_tag):
-            for k in range(2):
-                if not _phi_unknown(t, k):
-                    continue
-                (pC if t == "C" else pD).append(2 * p + k)
-        vN, vC = [], []
-        for node in range(n):
-            for k in range(2):
-                d = 2 * node + k
-                if self.contact_node[node]:
-                    if self.disp_known[d]:
-                        raise AssemblyError("contact node carries Dirichlet data")
-                    vC.append(d)
-                elif not self.disp_known[d]:
-                    vN.append(d)
-        self.pD = np.array(pD, dtype=np.int64)
-        self.pC = np.array(pC, dtype=np.int64)
-        self.vN = np.array(vN, dtype=np.int64)
-        self.vC = np.array(vC, dtype=np.int64)
+        disp_known = np.zeros((n, 2), dtype=bool)
+        e_dir, k_dir = np.nonzero([TAG_DIRICHLET_MASK[t] for t in tags])
+        disp_known[mesh.elements[e_dir].T, k_dir] = True
+        self.disp_known = disp_known.ravel()
+        contact_node = np.zeros(n, dtype=bool)
+        contact_node[mesh.elements[np.array(tags) == "C"]] = True
+        contact_dof = np.repeat(contact_node, 2)
+        if np.any(contact_dof & self.disp_known):
+            raise AssemblyError("contact node carries Dirichlet data")
+        self.pD = np.flatnonzero(self.trac_unknown & ~phi_contact)
+        self.pC = np.flatnonzero(phi_contact)
+        self.vN = np.flatnonzero(~(self.disp_known | contact_dof))
+        self.vC = np.flatnonzero(contact_dof)
 
     @property
     def n_psi(self) -> int:
@@ -248,58 +204,34 @@ def _mortar_mass(pair: ContactPair, dd_A: DomainDof, dd_B: DomainDof) -> np.ndar
 
 @dataclass
 class DofLayout:
+    """Where every unknown and every prescribed value sits in the full layout.
+
+    The full layout stacks, per domain, all phi dofs and then all psi dofs,
+    starting at offsets[d] (offsets[-1] is the total width).  unknown_cols
+    holds the full-layout column of each unknown, per domain in block order
+    pD, vN, pC, vC; known_cols that of each prescribed value, in
+    known_data_vector order.  Together they cover every column once.
+    """
+
     domains: list  # [DomainDof] (one or two entries, order A then B)
-    col_of_unknown: np.ndarray = None  # full-layout column of each unknown
-    known_cols: np.ndarray = None
-    offsets: list = None  # full-layout column offset per domain
-    blocks: dict = None  # (dom, name) -> global unknown index array
-    # per domain: (unknown ids, phi dofs, unknown ids, psi dofs)
-    scatter: list = None
+    offsets: np.ndarray = field(init=False)
+    unknown_cols: np.ndarray = field(init=False)
+    known_cols: np.ndarray = field(init=False)
 
     def __post_init__(self):
-        self.offsets = []
-        off = 0
-        for dd in self.domains:
-            self.offsets.append(off)
-            off += dd.width
-        self.total_width = off
-        self.blocks = {}
-        self.scatter = []
-        cols = []
-        n = 0
-        for di, dd in enumerate(self.domains):
-            for name, space, dofs in (
-                ("pD", "phi", dd.pD),
-                ("vN", "psi", dd.vN),
-                ("pC", "phi", dd.pC),
-                ("vC", "psi", dd.vC),
-            ):
-                self.blocks[(di, name)] = np.arange(n, n + len(dofs))
-                n += len(dofs)
-                base = self.offsets[di] + (0 if space == "phi" else 2 * dd.n_phi)
-                cols.append(base + dofs)
-            b = self.blocks
-            self.scatter.append((
-                np.concatenate([b[(di, "pD")], b[(di, "pC")]]),
-                np.concatenate([dd.pD, dd.pC]),
-                np.concatenate([b[(di, "vN")], b[(di, "vC")]]),
-                np.concatenate([dd.vN, dd.vC]),
-            ))
-        self.col_of_unknown = np.concatenate(cols)
-        known = []
-        for di, dd in enumerate(self.domains):
-            base = self.offsets[di]
-            for d in range(2 * dd.n_phi):
-                if not dd.trac_unknown[d]:
-                    known.append(base + d)
-            for d in range(2 * dd.n_psi):
-                if dd.disp_known[d]:
-                    known.append(base + 2 * dd.n_phi + d)
-        self.known_cols = np.array(known, dtype=np.int64)
+        self.offsets = np.cumsum([0] + [dd.width for dd in self.domains])
+        unknown, known = [], []
+        for off, dd in zip(self.offsets, self.domains):
+            psi = off + 2 * dd.n_phi
+            unknown += [off + dd.pD, psi + dd.vN, off + dd.pC, psi + dd.vC]
+            known += [off + np.flatnonzero(~dd.trac_unknown),
+                      psi + np.flatnonzero(dd.disp_known)]
+        self.unknown_cols = np.concatenate(unknown)
+        self.known_cols = np.concatenate(known)
 
     @property
     def n_unknowns(self) -> int:
-        return len(self.col_of_unknown)
+        return len(self.unknown_cols)
 
 
 @dataclass
@@ -310,7 +242,6 @@ class BoundarySolution:
     v: list  # per domain (2 n_psi,)
     x: np.ndarray = None  # raw unknown vector, ordered per the layout
     rhs: np.ndarray = None
-    residual: float = 0.0
 
 
 @dataclass
@@ -320,7 +251,6 @@ class InfluenceMatrices:
     K: np.ndarray
     R_known: np.ndarray  # maps known boundary data to the load vector
     W: np.ndarray  # maps gap data w to the load vector
-    M_AB: np.ndarray = None
     Mg: list = None  # per-domain phi x psi mass
     asymmetry: float = 0.0
     _factor: tuple = None
@@ -366,17 +296,12 @@ def assemble(meshes, pair: ContactPair, mats) -> InfluenceMatrices:
 
     doms = [DomainDof(mesh, mat) for mesh, mat in zip(meshes, mats)]
     layout = DofLayout(doms)
-    n_unk = layout.n_unknowns
+    off = layout.offsets
 
-    rows_full = np.zeros((n_unk, layout.total_width))
-    M_AB = None
-    n_master = 0
-    if two:
-        M_AB = _mortar_mass(pair, doms[0], doms[1])
-        n_master = 2 * len(pair.nodes_B)
-    W = np.zeros((n_unk, n_master))
+    # every full-layout row: the displacement BIE on phi dofs, the traction
+    # BIE on psi dofs; K and R_known take the rows of the unknowns
+    full = np.zeros((off[-1], off[-1]))
     Mg_list = []
-
     for di, dd in enumerate(doms):
         Ug, Tg, Sg, Mg = _domain_matrices(dd)
         Mg_list.append(Mg)
@@ -386,38 +311,32 @@ def assemble(meshes, pair: ContactPair, mats) -> InfluenceMatrices:
             M1[np.ix_(dd.pC, dd.vC)] *= -1.0
         if two and di == 1 and len(dd.pC):
             M2[np.ix_(dd.pC, dd.vC)] *= -1.0
-        type1 = np.hstack([-Ug, 0.5 * M1 + Tg])  # displacement BIE rows
-        type2 = np.hstack([Tg.T - 0.5 * M2.T, -Sg])  # traction BIE rows
-        off = layout.offsets[di]
-        for name, block, local in (
-            ("pD", type1, dd.pD),
-            ("vN", type2, dd.vN),
-            ("pC", type1, dd.pC),
-            ("vC", type2, dd.vC),
-        ):
-            gidx = layout.blocks[(di, name)]
-            if len(gidx) == 0:
-                continue
-            rows_full[np.ix_(gidx, np.arange(off, off + dd.width))] = block[local]
+        phi = slice(off[di], off[di] + 2 * dd.n_phi)
+        psi = slice(phi.stop, off[di + 1])
+        full[phi, phi] = -Ug
+        full[phi, psi] = 0.5 * M1 + Tg
+        full[psi, phi] = Tg.T - 0.5 * M2.T
+        full[psi, psi] = -Sg
 
+    W_full = np.zeros((off[-1], 2 * pair.n_master_nodes if two else 0))
     if two:
         dd_A, dd_B = doms
+        M_AB = _mortar_mass(pair, dd_A, dd_B)  # nonzero rows: A's pC only
+        A_phi = slice(0, 2 * dd_A.n_phi)
+        B_psi = slice(off[1] + 2 * dd_B.n_phi, off[2])
         # side A displacement-BIE contact rows couple to B's contact trace
-        gA = layout.blocks[(0, "pC")]
-        colB_psi = layout.offsets[1] + 2 * dd_B.n_phi + np.arange(2 * dd_B.n_psi)
-        localA = dd_A.pC
-        rows_full[np.ix_(gA, colB_psi)] += M_AB[localA]
-        # and carry the gap data on the right-hand side
-        wcols = _master_w_columns(pair)
-        W[gA] = -M_AB[np.ix_(localA, wcols)]
-        # side B traction-BIE contact rows couple to A's contact tractions
-        gB = layout.blocks[(1, "vC")]
-        colA_phi = layout.offsets[0] + np.arange(2 * dd_A.n_phi)
-        localB = dd_B.vC
-        rows_full[np.ix_(gB, colA_phi)] += M_AB.T[localB]
+        # and carry the gap data on the right-hand side; side B traction-BIE
+        # contact rows couple to A's contact tractions
+        full[A_phi, B_psi] += M_AB
+        W_full[dd_A.pC] = -M_AB[np.ix_(dd_A.pC, _master_w_columns(pair))]
+        full[B_psi, A_phi] += M_AB.T
 
-    K = rows_full[:, layout.col_of_unknown]
-    R_known = -rows_full[:, layout.known_cols]
+    # rows first, then columns: the column selection of a row block comes
+    # out column-major, and that order fixes how R_known @ data rounds;
+    # full[np.ix_(rows, cols)] is C-ordered and moves x by 3e-11
+    rows = full[layout.unknown_cols]
+    K = rows[:, layout.unknown_cols]
+    R_known = -rows[:, layout.known_cols]
     nrm = np.linalg.norm(K)
     asym = np.linalg.norm(K - K.T) / nrm if nrm > 0 else 0.0
 
@@ -426,8 +345,7 @@ def assemble(meshes, pair: ContactPair, mats) -> InfluenceMatrices:
         pair=pair,
         K=K,
         R_known=R_known,
-        W=W,
-        M_AB=M_AB,
+        W=W_full[layout.unknown_cols],
         Mg=Mg_list,
         asymmetry=asym,
     )
@@ -437,10 +355,7 @@ def assemble(meshes, pair: ContactPair, mats) -> InfluenceMatrices:
 
 def _master_w_columns(pair: ContactPair) -> np.ndarray:
     """B psi dof columns (into 2 n_psi_B) carrying the master gap values."""
-    cols = []
-    for n in pair.nodes_B:
-        cols.extend([2 * n, 2 * n + 1])
-    return np.array(cols, dtype=np.int64)
+    return (2 * pair.nodes_B[:, None] + np.arange(2)).ravel()
 
 
 def known_data_vector(im: InfluenceMatrices, g_D, f_N) -> np.ndarray:
@@ -471,31 +386,33 @@ def check_residual(im: InfluenceMatrices, x: np.ndarray, rhs: np.ndarray) -> flo
     return float(res)
 
 
-def solve_tbvp(im: InfluenceMatrices, g_D, f_N, w=None, check: bool = True) -> BoundarySolution:
+def solve_tbvp(im: InfluenceMatrices, g_D, f_N, w=None) -> BoundarySolution:
     """Solve the transmission problem for given boundary data and gap w."""
-    rhs = im.R_known @ known_data_vector(im, g_D, f_N)
+    data = known_data_vector(im, g_D, f_N)
+    rhs = im.R_known @ data
     if w is not None and im.W.shape[1]:
         rhs = rhs + im.W @ np.asarray(w, float)
     x = im.solve(rhs)
-    res = check_residual(im, x, rhs) if check else 0.0
-    sol = scatter_solution(im, x, g_D, f_N)
+    check_residual(im, x, rhs)
+    sol = scatter_solution(im, x, data)
     sol.rhs = rhs
-    sol.residual = res
     return sol
 
 
-def scatter_solution(im: InfluenceMatrices, x: np.ndarray, g_D, f_N) -> BoundarySolution:
+def scatter_solution(im: InfluenceMatrices, x: np.ndarray,
+                     data: np.ndarray) -> BoundarySolution:
+    """Per-domain traction and displacement vectors from the unknowns x and
+    the prescribed values data (in known_data_vector order)."""
+    layout = im.layout
+    # the two index arrays partition the columns (DomainDof rejects a
+    # prescribed contact displacement), so every entry is written
+    full = np.empty(layout.offsets[-1])
+    full[layout.known_cols] = data
+    full[layout.unknown_cols] = x
     p, v = [], []
-    for dd, (g_phi, phi, g_psi, psi), f, g in zip(
-            im.layout.domains, im.layout.scatter, f_N, g_D):
-        pf = np.zeros(2 * dd.n_phi) if f is None else np.array(f, dtype=float)
-        vf = np.zeros(2 * dd.n_psi) if g is None else np.array(g, dtype=float)
-        pf[dd.trac_unknown] = 0.0
-        vf[~dd.disp_known] = 0.0
-        pf[phi] = x[g_phi]
-        vf[psi] = x[g_psi]
-        p.append(pf)
-        v.append(vf)
+    for off, dd in zip(layout.offsets, layout.domains):
+        p.append(full[off:off + 2 * dd.n_phi])
+        v.append(full[off + 2 * dd.n_phi:off + dd.width])
     return BoundarySolution(p=p, v=v, x=x)
 
 

@@ -446,6 +446,17 @@ def _segment_elements(mesh, polyline, seg):
     return out
 
 
+def _reject_dropped(entry, unknown, path, quantity):
+    """ConfigError for a nonzero load value on a component that unknown
+    (rows of (x, y) flags) marks as solved for: the solve never reads it."""
+    for k in range(2):
+        if unknown[:, k].any() and np.any(entry["values"][:, k]):
+            raise ConfigError(
+                f"{path}: domain {entry['domain']} segment {entry['segment']}"
+                f" prescribes a nonzero {'xy'[k]} {quantity} on a component "
+                f"its part tags leave unknown; the solve would drop it")
+
+
 @dataclass
 class BuiltSystem:
     scenario: Scenario
@@ -466,26 +477,23 @@ def build_system(sc: Scenario) -> BuiltSystem:
     m = len(sc.load_times)
     g_tabs = [np.zeros((m, 2 * mesh.n_nodes)) for mesh in meshes]
     f_tabs = [np.zeros((m, 2 * dd.n_phi)) for dd in im.layout.domains]
-    for entry in sc.dirichlet_loads:
+    for i, entry in enumerate(sc.dirichlet_loads):
         d, mesh = entry["domain"], meshes[entry["domain"]]
-        nodes = sorted({n for e in _segment_elements(
-            mesh, sc.domains[d].polyline, entry["segment"])
-            for n in mesh.elements[e]})
-        for j in range(m):
-            for n in nodes:
-                g_tabs[d][j, 2 * n:2 * n + 2] = entry["values"][j]
-    for entry in sc.neumann_loads:
+        els = _segment_elements(mesh, sc.domains[d].polyline, entry["segment"])
+        dofs = 2 * np.unique(mesh.elements[els])[:, None] + np.arange(2)
+        _reject_dropped(entry, ~im.layout.domains[d].disp_known[dofs],
+                        f"loads.dirichlet[{i}]", "displacement")
+        g_tabs[d][:, dofs] = entry["values"][:, None, :]
+    for i, entry in enumerate(sc.neumann_loads):
         d = entry["domain"]
         dd = im.layout.domains[d]
         els = _segment_elements(meshes[d], sc.domains[d].polyline,
                                 entry["segment"])
-        for j in range(m):
-            for e in els:
-                dofs = dd.phi_dofs_of_element(e)
-                f_tabs[d][j, dofs[0]] = entry["values"][j][0]
-                f_tabs[d][j, dofs[1]] = entry["values"][j][1]
-                f_tabs[d][j, dofs[2]] = entry["values"][j][0]
-                f_tabs[d][j, dofs[3]] = entry["values"][j][1]
+        # (x, y) traction dofs at both ends of every element
+        dofs = np.reshape([dd.phi_dofs_of_element(e) for e in els], (-1, 2))
+        _reject_dropped(entry, dd.trac_unknown[dofs], f"loads.neumann[{i}]",
+                        "traction")
+        f_tabs[d][:, dofs] = entry["values"][:, None, :]
     loads = LoadProgram(times=sc.load_times, g_D=g_tabs, f_N=f_tabs)
     return BuiltSystem(scenario=sc, meshes=meshes, pair=pair, im=im,
                        loads=loads)

@@ -39,18 +39,6 @@ class ContactLaw:
             raise ContactError(f"normal stiffness must be positive: {self.k_g}")
 
 
-def gamma(g, law: ContactLaw):
-    """Compliance energy density (k_g/2) min(0, g)^2 per unit length."""
-    g = np.asarray(g, dtype=float)
-    return 0.5 * law.k_g * np.minimum(0.0, g) ** 2
-
-
-def gamma_prime(g, law: ContactLaw):
-    """Contact pressure -p_n = gamma'(g) = k_g min(0, g)."""
-    g = np.asarray(g, dtype=float)
-    return law.k_g * np.minimum(0.0, g)
-
-
 @dataclass
 class GapState:
     """Nodal displacement gap on the contact, split in the master frame."""

@@ -16,7 +16,7 @@ drives the optional time-step adaptivity.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -55,24 +55,28 @@ class LoadProgram:
         self.times = np.asarray(self.times, dtype=float)
         if len(self.times) < 1 or np.any(np.diff(self.times) <= 0.0):
             raise EvolveError("load breakpoints must be strictly increasing")
+        self.g_D = [None if tab is None else np.asarray(tab, dtype=float)
+                    for tab in self.g_D]
+        self.f_N = [None if tab is None else np.asarray(tab, dtype=float)
+                    for tab in self.f_N]
 
-    def _interp(self, table, t):
-        if table is None:
-            return None
-        t = min(max(t, self.times[0]), self.times[-1])
-        j = int(np.searchsorted(self.times, t, side="right")) - 1
-        j = min(max(j, 0), len(self.times) - 2) if len(self.times) > 1 else 0
-        if len(self.times) == 1:
-            return np.asarray(table[0], dtype=float)
-        t0, t1 = self.times[j], self.times[j + 1]
-        lam = (t - t0) / (t1 - t0)
-        return (1 - lam) * np.asarray(table[j]) + lam * np.asarray(table[j + 1])
+    def _interp(self, tables, t):
+        """Every table at time t, from one bracket of the breakpoints."""
+        times = self.times
+        if len(times) == 1:
+            return [None if tab is None else tab[0] for tab in tables]
+        t = min(max(t, times[0]), times[-1])
+        j = int(np.searchsorted(times, t, side="right")) - 1
+        j = min(max(j, 0), len(times) - 2)
+        lam = (t - times[j]) / (times[j + 1] - times[j])
+        return [None if tab is None else (1 - lam) * tab[j] + lam * tab[j + 1]
+                for tab in tables]
 
     def g_at(self, t):
-        return [self._interp(tab, t) for tab in self.g_D]
+        return self._interp(self.g_D, t)
 
     def f_at(self, t):
-        return [self._interp(tab, t) for tab in self.f_N]
+        return self._interp(self.f_N, t)
 
 
 def modified_dirichlet(g_now, g_old, tau: float, chi: float):
@@ -141,13 +145,10 @@ class EvolutionState:
     pu: list  # per-domain elastic tractions of the field u^k
     stored: float  # discrete stored energy E at step k
     y_warm: np.ndarray = None
-    ledger: dict = field(default_factory=lambda: {
-        "r1": 0.0, "visc": 0.0, "work": 0.0, "delta": 0.0})
 
     @classmethod
-    def initial(cls, im, z0: GapState = None) -> "EvolutionState":
-        pair = im.pair
-        z = z0 if z0 is not None else GapState.rest(pair.n_master_nodes)
+    def initial(cls, im) -> "EvolutionState":
+        z = GapState.rest(im.pair.n_master_nodes)
         u = [np.zeros(2 * dd.mesh.n_nodes) for dd in im.layout.domains]
         pu = [np.zeros(2 * dd.n_phi) for dd in im.layout.domains]
         return cls(k=0, t=0.0, z=z, u=u, pu=pu, stored=0.0)
@@ -172,12 +173,11 @@ class StepResult:
     residuum: EnergyResiduum
     sol: object  # fictitious boundary solution at step k
     qp_iterations: int
-    qp_backsolves: int  # applications of the QP operator A
 
 
 def step(op: SteklovOperator, law: ContactLaw, chi: float, loads: LoadProgram,
-         state: EvolutionState, tau: float, qp_rtol: float = 1e-8,
-         qp_telemetry: list = None) -> StepResult:
+         state: EvolutionState, tau: float,
+         qp_rtol: float = 1e-8) -> StepResult:
     """One semi-implicit step of size tau from the given accepted state.
 
     Only load-dependent work happens here: the offset solve, the QP vectors,
@@ -190,8 +190,7 @@ def step(op: SteklovOperator, law: ContactLaw, chi: float, loads: LoadProgram,
     f_k = loads.f_at(t_k)
     offset = op.solve(np.zeros(op.n_w), g_tilde, f_k)
     qp = build_qp(op, offset, law, tau, chi, state.z)
-    qsol = mprgp_solve(qp, y0=state.y_warm, rtol=qp_rtol,
-                       telemetry=qp_telemetry)
+    qsol = mprgp_solve(qp, y0=state.y_warm, rtol=qp_rtol)
     _, beta, w_t, w_n = y_to_awb(qsol.y)
     # at nodes with zero friction weight the slip magnitude is indeterminate
     # (flat objective direction); snap it to its tight value so the stored
@@ -247,17 +246,10 @@ def step(op: SteklovOperator, law: ContactLaw, chi: float, loads: LoadProgram,
     res = EnergyResiduum(r1=r1, visc=visc, stored_new=stored_new,
                          stored_old=state.stored, work_mixed=work_mixed,
                          work_lift=work_lift, work_ext=work_ext, gap=gap)
-    ledger = dict(state.ledger)
-    ledger["r1"] += r1
-    ledger["visc"] += visc
-    ledger["work"] += work_mixed + work_lift + work_ext
-    ledger["delta"] += res.delta
     new_state = EvolutionState(k=state.k + 1, t=t_k, z=z_new, u=u_new,
-                               pu=pu_new, stored=stored_new, y_warm=y_tight,
-                               ledger=ledger)
+                               pu=pu_new, stored=stored_new, y_warm=y_tight)
     return StepResult(state=new_state, residuum=res, sol=sol,
-                      qp_iterations=qsol.iterations,
-                      qp_backsolves=qsol.n_backsolves)
+                      qp_iterations=qsol.iterations)
 
 
 def adapt_tau(res: EnergyResiduum, eps: float, tau: float, tau_min: float,

@@ -48,9 +48,6 @@ class Material:
     def shear_modulus(self) -> float:
         return self.young_modulus / (2.0 * (1.0 + self.poisson_ratio))
 
-    @property
-    def kolosov(self) -> float:
-        return 3.0 - 4.0 * self.poisson_ratio
 
 
 @dataclass
@@ -290,9 +287,6 @@ class ContactPair:
     def n_master_nodes(self) -> int:
         return len(self.nodes_B)
 
-    def total_length(self) -> float:
-        return float(self.arclength_B[-1] - self.arclength_B[0])
-
 
 def _contact_chain(mesh: BoundaryMesh):
     """Ordered contact element list following the boundary orientation."""
@@ -412,16 +406,3 @@ def pair_contacts(mesh_A: BoundaryMesh, mesh_B: BoundaryMesh, tol: float = 1e-9)
         normal=normals,
         tangent=tangents,
     )
-
-
-def dump_debug(mesh: BoundaryMesh) -> str:
-    """Plain-text tabular dump of nodes, elements and tags."""
-    lines = [f"# domain {mesh.domain_label}", "# node x1 x2"]
-    for i, (x, y) in enumerate(mesh.nodes):
-        lines.append(f"{i} {x:.12g} {y:.12g}")
-    lines.append("# element node0 node1 tag length")
-    for e in range(mesh.n_elements):
-        a, b = mesh.elements[e]
-        _, _, L = element_frame(mesh, e)
-        lines.append(f"{e} {a} {b} {mesh.part_tag[e]} {L:.12g}")
-    return "\n".join(lines) + "\n"

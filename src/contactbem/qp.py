@@ -56,7 +56,6 @@ class QPProblem:
 class QPSolution:
     y: np.ndarray
     iterations: int
-    proj_grad_norm: float
     active: np.ndarray
     n_backsolves: int = 0  # applications of A; perfbench/probe.py reads the name
 
@@ -160,8 +159,7 @@ def _max_feasible_step(y, d, xi):
 
 
 def mprgp_solve(p: QPProblem, y0: np.ndarray = None, rtol: float = 1e-8,
-                gamma: float = 1.0, max_iter: int = None,
-                telemetry: list = None) -> QPSolution:
+                max_iter: int = None, telemetry: list = None) -> QPSolution:
     """Projected CG with proportioning and expansion for min over y >= xi.
 
     Stops when the projected gradient norm drops below rtol times the
@@ -219,7 +217,7 @@ def mprgp_solve(p: QPProblem, y0: np.ndarray = None, rtol: float = 1e-8,
             raise QPError(f"projected CG exceeded {max_iter} iterations "
                           f"(residual {nu:.3e}, tol {tol:.3e})")
         it += 1
-        if chop_g @ chop_g <= gamma * gamma * (free_g @ d):
+        if chop_g @ chop_g <= free_g @ d:
             # dominance of the free gradient: try a CG step along d
             Ad = apply_A(d)
             nb += 1
@@ -258,5 +256,4 @@ def mprgp_solve(p: QPProblem, y0: np.ndarray = None, rtol: float = 1e-8,
 
     if scal is not None:
         y = y / scal
-    return QPSolution(y=y, iterations=it, proj_grad_norm=float(nu),
-                      active=act, n_backsolves=nb)
+    return QPSolution(y=y, iterations=it, active=act, n_backsolves=nb)

@@ -66,10 +66,6 @@ class SteklovOperator:
         """Full affine state for boundary data (g_D, f_N) and gap w."""
         return solve_tbvp(self.im, g_D, f_N, w=w)
 
-    def apply(self, w: np.ndarray) -> BoundarySolution:
-        """Homogeneous response to the gap field alone (zero boundary data)."""
-        return self.solve(w, [None, None], [None, None])
-
     def gradient(self, sol: BoundarySolution) -> np.ndarray:
         """d(elastic potential)/dw of the solved state (exact discretely)."""
         return -self.im.W.T @ sol.x

@@ -11,6 +11,7 @@ from contactbem.assembly import (
     solve_tbvp,
 )
 from contactbem.mesh import (
+    BoundaryMesh,
     Material,
     MeshError,
     build_mesh,
@@ -223,6 +224,11 @@ def test_contact_dirichlet_conflict_rejected():
             {"tag": "C", "n": 1}, {"tag": "DxNy", "n": 1}]
     with pytest.raises(MeshError, match="closures"):
         build_mesh(poly, spec)
+    # the same boundary built without the mesher's check fails in assembly
+    mesh = BoundaryMesh("A", poly, [(0, 1), (1, 2), (2, 3), (3, 0)],
+                        ["D", "N", "C", "DxNy"])
+    with pytest.raises(AssemblyError, match="contact node carries Dirichlet"):
+        DomainDof(mesh, MAT)
 
 
 def test_known_vector_matches_columns():
@@ -233,21 +239,24 @@ def test_known_vector_matches_columns():
 
 
 def test_scatter_solution_matches_block_loop():
-    """The precomputed scatter index arrays place every unknown where the
-    per-block layout says, and keep the prescribed data elsewhere."""
+    """The layout's index arrays place every unknown where the block order
+    (pD, vN, pC, vC per domain) says, and keep the prescribed data
+    elsewhere."""
     meshA, meshB = _stacked_pair(3, 2)
     im = assemble([meshA, meshB], pair_contacts(meshA, meshB), [MAT, MAT])
     rng = np.random.default_rng(5)
     x = rng.normal(size=im.layout.n_unknowns)
     g_D = [rng.normal(size=2 * dd.n_psi) for dd in im.layout.domains]
     f_N = [rng.normal(size=2 * dd.n_phi) for dd in im.layout.domains]
-    sol = scatter_solution(im, x, g_D, f_N)
+    sol = scatter_solution(im, x, known_data_vector(im, g_D, f_N))
+    n = 0  # global index of the next unknown
     for di, dd in enumerate(im.layout.domains):
         p = np.where(dd.trac_unknown, 0.0, f_N[di])
         v = np.where(dd.disp_known, g_D[di], 0.0)
-        for name, out, dofs in (("pD", p, dd.pD), ("vN", v, dd.vN),
-                                ("pC", p, dd.pC), ("vC", v, dd.vC)):
-            for g, d in zip(im.layout.blocks[(di, name)], dofs):
-                out[d] = x[g]
+        for out, dofs in ((p, dd.pD), (v, dd.vN), (p, dd.pC), (v, dd.vC)):
+            for d in dofs:
+                out[d] = x[n]
+                n += 1
         assert np.array_equal(sol.p[di], p)
         assert np.array_equal(sol.v[di], v)
+    assert n == len(x)

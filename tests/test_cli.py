@@ -244,6 +244,28 @@ def test_main_split_contact_zone_exits_2(tmp_path, capsys):
     assert "\n" not in err
 
 
+@pytest.mark.parametrize("kind,entry,match", [
+    # a traction on the clamped base of B, whose traction the solve finds
+    ("neumann", {"domain": 1, "segment": 0, "traction": [[0, 0], [0, 3.0]]},
+     "loads.neumann[1]: domain 1 segment 0 prescribes a nonzero y traction"),
+    # a displacement on a free face of B
+    ("dirichlet", {"domain": 1, "segment": 1, "values": [[0, 0], [0.1, 0]]},
+     "loads.dirichlet[0]: domain 1 segment 1 prescribes a nonzero x "
+     "displacement"),
+])
+def test_main_dropped_load_exits_2(kind, entry, match, tmp_path, capsys):
+    """A load value the solve would never read is a config error, not a
+    silent change of the logged work."""
+    doc = tiny_scenario()
+    doc["loads"].setdefault(kind, []).append(entry)
+    path = tmp_path / "dropped.yaml"
+    path.write_text(yaml.safe_dump(doc))
+    assert main(["run", str(path), "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err.strip()
+    assert match in err
+    assert "\n" not in err
+
+
 @pytest.mark.parametrize("error", [KernelError, AssemblyError, SteklovError,
                                    ContactError])
 def test_main_maps_library_errors_to_exit_3(error, tmp_path, capsys, monkeypatch):

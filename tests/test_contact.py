@@ -10,8 +10,6 @@ from contactbem.contact import (
     contact_mass,
     frame_join,
     frame_split,
-    gamma,
-    gamma_prime,
     incremental_energy,
     mosco_bounds,
     split_y,
@@ -45,19 +43,6 @@ def test_law_validation():
         ContactLaw(mu=0.0, k_g=4e5)
     with pytest.raises(ContactError):
         ContactLaw(mu=0.8, k_g=-1.0)
-
-
-def test_gamma_values():
-    law = ContactLaw(mu=0.8, k_g=4e5)
-    assert gamma(0.0, law) == 0.0
-    assert gamma(0.5, law) == 0.0
-    assert gamma(-1e-3, law) == pytest.approx(0.2, rel=1e-14)
-    assert gamma_prime(0.5, law) == 0.0
-    assert gamma_prime(-1e-3, law) == pytest.approx(-4e5 * 1e-3, rel=1e-14)
-    # C1 at the threshold
-    assert abs(gamma_prime(-1e-12, law)) <= 1e-6
-    g = RNG.normal(size=8) * 1e-3
-    assert np.allclose(gamma(g, law), 0.5 * 4e5 * np.minimum(0, g) ** 2)
 
 
 def test_mosco_bounds_rest_and_inviscid():

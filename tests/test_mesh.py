@@ -6,7 +6,6 @@ from contactbem.mesh import (
     Material,
     MeshError,
     build_mesh,
-    dump_debug,
     element_frame,
     pair_contacts,
 )
@@ -27,7 +26,6 @@ def square(tags=("D", "N", "N", "N"), n=1, side=1.0, origin=(0.0, 0.0)):
 def test_material_invariants():
     m = Material(4e3, 0.35, 1e-3)
     assert m.shear_modulus == pytest.approx(4e3 / 2.7)
-    assert m.kolosov == pytest.approx(3 - 4 * 0.35)
     with pytest.raises(MeshError):
         Material(-1.0, 0.3)
     with pytest.raises(MeshError):
@@ -222,15 +220,6 @@ def test_contact_frames_point_outward_from_master():
     pair = pair_contacts(meshA, meshB)
     # master is the bottom block; its outward normal on the contact is +e2
     assert np.allclose(pair.normal, [0.0, 1.0])
-
-
-def test_dump_debug_roundtrip():
-    mesh = square(n=2)
-    text = dump_debug(mesh)
-    assert "domain A" in text
-    # one row per node and per element plus headers
-    rows = [l for l in text.splitlines() if l and not l.startswith("#")]
-    assert len(rows) == mesh.n_nodes + mesh.n_elements
 
 
 def test_split_contact_zone_rejected():

@@ -12,6 +12,7 @@ from contactbem.steklov import SteklovError, SteklovOperator
 
 MAT = Material(young_modulus=200.0, poisson_ratio=0.3)
 RNG = np.random.default_rng(7)
+NO_DATA = [None, None]  # no boundary data on either domain
 
 
 def stacked_pair(nA, nB, side=1.0, clamp_top=False):
@@ -56,7 +57,7 @@ def test_superposition():
     w = RNG.normal(size=op.n_w) * 1e-3
     full = op.solve(w, [None, None], f_N)
     offset = op.solve(np.zeros(op.n_w), [None, None], f_N)
-    hom = op.apply(w)
+    hom = op.solve(w, NO_DATA, NO_DATA)
     for d in range(2):
         assert np.allclose(full.p[d], offset.p[d] + hom.p[d], atol=1e-12)
         assert np.allclose(full.v[d], offset.v[d] + hom.v[d], atol=1e-12)
@@ -72,7 +73,7 @@ def test_hessian_equals_column_construction():
     for i in range(n):
         e = np.zeros(n)
         e[i] = 1.0
-        H_ref[:, i] = op.gradient(op.apply(e))
+        H_ref[:, i] = op.gradient(op.solve(e, NO_DATA, NO_DATA))
     H_ref = 0.5 * (H_ref + H_ref.T)
     assert np.abs(op.H - H_ref).max() <= 1e-12 * np.abs(H_ref).max()
 
@@ -98,7 +99,8 @@ def test_hessian_psd_with_rigid_nullspace():
     assert ev[3] > 1e-3 * scale  # strictly positive off the rigid modes
     # potential equals the quadratic form of H (homogeneous data)
     w = RNG.normal(size=op.n_w) * 1e-3
-    assert op.potential(op.apply(w)) == pytest.approx(0.5 * w @ H @ w, rel=1e-10)
+    hom = op.solve(w, NO_DATA, NO_DATA)
+    assert op.potential(hom) == pytest.approx(0.5 * w @ H @ w, rel=1e-10)
 
 
 def test_hessian_pd_when_upper_body_clamped():

@@ -7,11 +7,16 @@ the real displacement and the contact gap by the convex recursions
     u^k = (tau v^k + chi u^{k-1}) / (tau + chi),
     z^k = (tau w^k + chi z^{k-1}) / (tau + chi).
 
-The discrete energy estimate is evaluated with every bulk integral rewritten
-as boundary work: all displacement fields involved are equilibrium elastic
-fields, so  int e(a):C:e(b) dOmega  equals the symmetrized boundary pairing
-(<p(a), b> + <p(b), a>)/2 of stored tractions and traces.  Its residuum
-drives the optional time-step adaptivity.
+Every field involved is the operator's affine solution map applied to a
+contact-space vector s = [d; w] of known boundary data and gap, so the
+recursion is carried on s alone: s^k = (tau s~^k + chi s^{k-1}) / (tau + chi)
+with s~^k = [d~^k; w^k], and the step makes no full solve.  The discrete
+energy estimate is evaluated with every bulk integral rewritten as boundary
+work: all displacement fields involved are equilibrium elastic fields, so
+int e(a):C:e(b) dOmega  equals the symmetrized boundary pairing
+(<p(a), b> + <p(b), a>)/2 of stored tractions and traces, which is the
+operator's form Q on s.  Its residuum drives the optional time-step
+adaptivity.
 """
 
 from __future__ import annotations
@@ -20,7 +25,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .assembly import solve_tbvp
+from .assembly import (
+    known_data_vector,
+    solve_tbvp,  # unused here; perfbench/probe.py wraps evolve.solve_tbvp
+)
 from .contact import (
     ContactLaw,
     GapState,
@@ -60,30 +68,51 @@ class LoadProgram:
         self.f_N = [None if tab is None else np.asarray(tab, dtype=float)
                     for tab in self.f_N]
 
-    def _interp(self, tables, t):
-        """Every table at time t, from one bracket of the breakpoints."""
-        times = self.times
-        if len(times) == 1:
-            return [None if tab is None else tab[0] for tab in tables]
-        t = min(max(t, times[0]), times[-1])
-        j = int(np.searchsorted(times, t, side="right")) - 1
-        j = min(max(j, 0), len(times) - 2)
-        lam = (t - times[j]) / (times[j + 1] - times[j])
-        return [None if tab is None else (1 - lam) * tab[j] + lam * tab[j + 1]
-                for tab in tables]
-
     def g_at(self, t):
-        return self._interp(self.g_D, t)
+        return _interp(self.times, self.g_D, t)
 
     def f_at(self, t):
-        return self._interp(self.f_N, t)
+        return _interp(self.times, self.f_N, t)
+
+    def known(self, im) -> "KnownData":
+        """The program as known-data vectors of the assembly im."""
+        table = [known_data_vector(im, self.g_at(t), self.f_at(t))
+                 for t in self.times]
+        ones = [np.ones(2 * dd.n_psi) for dd in im.layout.domains]
+        dirichlet = known_data_vector(im, ones, [None] * len(ones)) > 0.0
+        return KnownData(self.times, np.array(table), dirichlet)
+
+
+@dataclass
+class KnownData:
+    """A load program as known-data vectors (known_data_vector order), so a
+    step interpolates one vector per time instead of every domain table."""
+
+    times: np.ndarray
+    table: np.ndarray  # (n_times, n_known)
+    dirichlet: np.ndarray  # True at the prescribed displacement entries
+
+    def at(self, t) -> np.ndarray:
+        return _interp(self.times, [self.table], t)[0]
+
+
+def _interp(times, tables, t):
+    """Every table at time t, from one bracket of the breakpoints."""
+    if len(times) == 1:
+        return [None if tab is None else tab[0] for tab in tables]
+    t = min(max(t, times[0]), times[-1])
+    j = int(np.searchsorted(times, t, side="right")) - 1
+    j = min(max(j, 0), len(times) - 2)
+    lam = (t - times[j]) / (times[j + 1] - times[j])
+    return [None if tab is None else (1 - lam) * tab[j] + lam * tab[j + 1]
+            for tab in tables]
 
 
 def modified_dirichlet(g_now, g_old, tau: float, chi: float):
     """Dirichlet data of the fictitious problem of a step of size tau.
 
     g_now and g_old are the per-domain Dirichlet data at the end of the step
-    and tau before it.
+    and tau before it (or, in step, whole known-data vectors).
     """
     if not tau > 0.0:
         raise EvolveError(f"time step must be positive: {tau}")
@@ -141,55 +170,40 @@ class EvolutionState:
     k: int
     t: float
     z: GapState
-    u: list  # per-domain nodal displacement traces at step k
-    pu: list  # per-domain elastic tractions of the field u^k
+    s: np.ndarray  # contact-space state [d; z] of the real field u^k
     stored: float  # discrete stored energy E at step k
     y_warm: np.ndarray = None
 
     @classmethod
     def initial(cls, im) -> "EvolutionState":
         z = GapState.rest(im.pair.n_master_nodes)
-        u = [np.zeros(2 * dd.mesh.n_nodes) for dd in im.layout.domains]
-        pu = [np.zeros(2 * dd.n_phi) for dd in im.layout.domains]
-        return cls(k=0, t=0.0, z=z, u=u, pu=pu, stored=0.0)
-
-
-def _pairing(Mg, p, v):
-    return float(p @ (Mg @ v))
-
-
-def _stored_energy(im, law, M, u, pu, z: GapState) -> float:
-    e = 0.0
-    for Mg, p, v in zip(im.Mg, pu, u):
-        e += 0.5 * _pairing(Mg, p, v)
-    beta = z.beta_prev()
-    e += 0.5 * law.k_g * beta @ (M @ beta)
-    return e
+        s = np.zeros(im.R_known.shape[1] + im.W.shape[1])
+        return cls(k=0, t=0.0, z=z, s=s, stored=0.0)
 
 
 @dataclass
 class StepResult:
     state: EvolutionState
     residuum: EnergyResiduum
-    sol: object  # fictitious boundary solution at step k
+    s: np.ndarray  # contact-space state [d~; w] of the fictitious field v^k
     qp_iterations: int
 
 
-def step(op: SteklovOperator, law: ContactLaw, chi: float, loads: LoadProgram,
+def step(op: SteklovOperator, law: ContactLaw, chi: float, data: KnownData,
          state: EvolutionState, tau: float,
          qp_rtol: float = 1e-8) -> StepResult:
     """One semi-implicit step of size tau from the given accepted state.
 
-    Only load-dependent work happens here: the offset solve, the QP vectors,
-    MPRGP, the final solve and, when Dirichlet data move, the lift solve.
+    Only load-dependent work happens here, all of it on the contact space:
+    the step's data vector, the QP vectors, MPRGP and the energy forms.
     """
-    im, pair, M = op.im, op.im.pair, op.M
+    pair, M, Q = op.im.pair, op.M, op.Q
     t_k = state.t + tau
-    g_now = loads.g_at(t_k)
-    g_tilde = modified_dirichlet(g_now, loads.g_at(t_k - tau), tau, chi)
-    f_k = loads.f_at(t_k)
-    offset = op.solve(np.zeros(op.n_w), g_tilde, f_k)
-    qp = build_qp(op, offset, law, tau, chi, state.z)
+    d_now = data.at(t_k)
+    # only the Dirichlet entries are modified; the tractions stay at t_k
+    d_old = np.where(data.dirichlet, data.at(t_k - tau), d_now)
+    d_tilde, = modified_dirichlet([d_now], [d_old], tau, chi)
+    qp = build_qp(op, d_tilde, law, tau, chi, state.z)
     qsol = mprgp_solve(qp, y0=state.y_warm, rtol=qp_rtol)
     _, beta, w_t, w_n = y_to_awb(qsol.y)
     # at nodes with zero friction weight the slip magnitude is indeterminate
@@ -201,54 +215,41 @@ def step(op: SteklovOperator, law: ContactLaw, chi: float, loads: LoadProgram,
     # the do-nothing competitor (previous gap state carried over unchanged),
     # mapped from the fictitious to the physical displacement scale by the
     # same convex factor as the state recursion
+    lam = tau / (tau + chi)
     beta_c = np.maximum(0.0, -(1.0 + chi / tau) * state.z.z_n)
     y_comp = awb_to_y(np.zeros_like(alpha), beta_c, state.z.z_t, state.z.z_n)
-    gap = (tau / (tau + chi)) * (qp.objective(y_comp) - qp.objective(y_tight))
-    sol = op.solve(frame_join(pair, w_t, w_n), g_tilde, f_k)
+    gap = lam * (qp.objective(y_comp) - qp.objective(y_tight))
 
-    lam = tau / (tau + chi)
+    s_tilde = np.concatenate([d_tilde, frame_join(pair, w_t, w_n)])
     z_new = GapState(z_t=lam * w_t + (1 - lam) * state.z.z_t,
                      z_n=lam * w_n + (1 - lam) * state.z.z_n)
-    u_new = [lam * v + (1 - lam) * u for v, u in zip(sol.v, state.u)]
-    pu_new = [lam * p + (1 - lam) * q for p, q in zip(sol.p, state.pu)]
+    s_new = lam * s_tilde + (1 - lam) * state.s
+    ds = s_new - state.s
 
-    stored_new = _stored_energy(im, law, M, u_new, pu_new, z_new)
-    du = [a - b for a, b in zip(u_new, state.u)]
-    dp = [a - b for a, b in zip(pu_new, state.pu)]
-
+    beta_new = z_new.beta_prev()
+    stored_new = 0.5 * float(s_new @ (Q @ s_new)
+                             + law.k_g * beta_new @ (M @ beta_new))
     beta_prev = state.z.beta_prev()
     r1 = law.mu * law.k_g * beta_prev @ (M @ np.abs(z_new.z_t - state.z.z_t))
-    visc = (chi / tau) * sum(
-        _pairing(Mg, q, v) for Mg, q, v in zip(im.Mg, dp, du))
+    visc = (chi / tau) * float(ds @ (Q @ ds))
 
-    work_mixed = 0.0
-    work_lift = 0.0
-    g_old = loads.g_at(state.t)  # rounds differently from g_at(t_k - tau)
-    dg = [None if gn is None else gn - go for gn, go in zip(g_now, g_old)]
-    if any(g is not None and np.any(g) for g in dg):
-        # lift increment: glued-interface equilibrium field with the
-        # Dirichlet increment as data and traction-free elsewhere
-        lift = solve_tbvp(im, dg, [None] * len(dg),
-                          w=np.zeros(2 * pair.n_master_nodes))
-        for d, Mg in enumerate(im.Mg):
-            work_mixed += 0.5 * (_pairing(Mg, state.pu[d], lift.v[d])
-                                 + _pairing(Mg, lift.p[d], state.u[d]))
-            work_mixed += (chi / tau) * 0.5 * (
-                _pairing(Mg, dp[d], lift.v[d])
-                + _pairing(Mg, lift.p[d], du[d]))
-            work_lift += 0.5 * _pairing(Mg, lift.p[d], lift.v[d])
-
-    work_ext = 0.0
-    for d, Mg in enumerate(im.Mg):
-        if f_k[d] is not None:
-            work_ext += _pairing(Mg, f_k[d], du[d])
+    # lift increment: glued-interface equilibrium field with the Dirichlet
+    # increment as data, traction-free elsewhere and at zero gap;
+    # data.at(state.t) rounds differently from data.at(t_k - tau)
+    s_lift = np.zeros_like(s_new)
+    s_lift[:op.n_known] = np.where(data.dirichlet,
+                                   d_now - data.at(state.t), 0.0)
+    q_lift = Q @ s_lift
+    work_mixed = float((state.s + (chi / tau) * ds) @ q_lift)
+    work_lift = 0.5 * float(s_lift @ q_lift)
+    work_ext = float(d_tilde @ (op.F @ ds))  # Neumann data of d~ only
 
     res = EnergyResiduum(r1=r1, visc=visc, stored_new=stored_new,
                          stored_old=state.stored, work_mixed=work_mixed,
                          work_lift=work_lift, work_ext=work_ext, gap=gap)
-    new_state = EvolutionState(k=state.k + 1, t=t_k, z=z_new, u=u_new,
-                               pu=pu_new, stored=stored_new, y_warm=y_tight)
-    return StepResult(state=new_state, residuum=res, sol=sol,
+    new_state = EvolutionState(k=state.k + 1, t=t_k, z=z_new, s=s_new,
+                               stored=stored_new, y_warm=y_tight)
+    return StepResult(state=new_state, residuum=res, s=s_tilde,
                       qp_iterations=qsol.iterations)
 
 
@@ -267,18 +268,17 @@ def adapt_tau(res: EnergyResiduum, eps: float, tau: float, tau_min: float,
     return True, tau
 
 
-def contact_tractions(op: SteklovOperator, sol):
+def contact_tractions(op: SteklovOperator, s: np.ndarray):
     """Nodal (p_t, p_n) of the physical contact traction on the master side.
 
     The Kelvin-Voigt traction at step k equals the elastic traction of the
     fictitious field v^k.  It is recovered consistently: the exact nodal
     contact forces (the gap gradient of the elastic potential) are mapped
     back to a traction through the contact mass matrix, which is more
-    accurate than the raw traction trace near singular corners.
+    accurate than the raw traction trace near singular corners.  s is the
+    contact-space state [d~; w] of the fictitious field.
     """
-    force = op.im.W.T @ sol.x  # nodal force of the contact traction, xy comps
-    p_xy = np.linalg.solve(op.M, force.reshape(-1, 2))
-    return frame_split(op.im.pair, p_xy.ravel())
+    return frame_split(op.im.pair, op.traction @ s)
 
 
 @dataclass
@@ -293,8 +293,14 @@ class StepRecord:
     residuum: EnergyResiduum
     qp_iterations: int
     stored: float
-    u: list  # per-domain nodal displacement traces
+    s: np.ndarray  # contact-space state of the real field u^k
+    op: SteklovOperator
     y: np.ndarray = None  # transformed optimizer state of the step
+
+    @property
+    def u(self) -> list:
+        """Per-domain nodal displacement traces, rebuilt on demand."""
+        return self.op.traces(self.s).v
 
 
 def run(im, law: ContactLaw, chi: float, loads: LoadProgram, *, t_end: float,
@@ -311,12 +317,13 @@ def run(im, law: ContactLaw, chi: float, loads: LoadProgram, *, t_end: float,
     if tau_max is None:
         tau_max = tau
     op = SteklovOperator(im)
+    data = loads.known(im)
     state = EvolutionState.initial(im)
     records = []
     while state.t < t_end - 1e-12 * t_end:
         tau_k = min(tau, t_end - state.t)
         try:
-            result = step(op, law, chi, loads, state, tau_k, qp_rtol=qp_rtol)
+            result = step(op, law, chi, data, state, tau_k, qp_rtol=qp_rtol)
         except QPError as exc:
             raise EvolveError(f"QP failed at t={state.t + tau_k:.6g}: {exc}")
         if eps is not None:
@@ -325,14 +332,15 @@ def run(im, law: ContactLaw, chi: float, loads: LoadProgram, *, t_end: float,
             if not accept:
                 continue
         state = result.state
-        p_t, p_n = contact_tractions(op, result.sol)
+        p_t, p_n = contact_tractions(op, result.s)
         prev_zt = records[-1].z.z_t if records else np.zeros_like(p_t)
         slip = np.abs(state.z.z_t - prev_zt) > 1e-10
         rec = StepRecord(k=state.k, t=state.t, tau=tau_k, z=state.z,
                          p_t=p_t, p_n=p_n, slip=slip,
                          residuum=result.residuum,
                          qp_iterations=result.qp_iterations,
-                         stored=state.stored, u=state.u, y=state.y_warm)
+                         stored=state.stored, s=state.s, op=op,
+                         y=state.y_warm)
         records.append(rec)
         if on_step is not None:
             on_step(rec)

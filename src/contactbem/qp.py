@@ -1,15 +1,14 @@
 """Bound-constrained QP per time step and its projected-CG solver.
 
 The incremental functional, after the change of variables of the contact
-module, is 0.5 y^T A y - b^T y + c over y >= xi.  A is applied as dense
-matvecs: the gap part of y through the operator's nodal-frame blocks of the
-contact Hessian, the compliance part through a consistent-mass product.  A
-depends only on the operator and the step size, so its application, its
-diagonal and its norm are built once per step size.  The solver is a
-projected conjugate gradient method with proportioning and expansion steps
-(MPRGP); A is only positive semidefinite (the slip magnitudes appear
-linearly), so nonpositive curvature along a search direction falls back to
-the expansion step.
+module, is 0.5 y^T A y - b^T y + c over y >= xi.  A is an explicit dense
+matrix: the contact Hessian pulled back to y through the nodal frames, plus
+the consistent compliance mass.  A depends only on the operator and the
+step size, so it, its Jacobi-scaled form and that form's norm are built
+once per step size.  The solver is a projected conjugate gradient method
+with proportioning and expansion steps (MPRGP); A is only positive
+semidefinite (the slip magnitudes appear linearly), so nonpositive
+curvature along a search direction falls back to the expansion step.
 """
 
 from __future__ import annotations
@@ -25,7 +24,6 @@ from .contact import (
     contact_mass,  # unused here; perfbench/probe.py wraps qp.contact_mass
     frame_split,
     mosco_bounds,
-    split_y,
 )
 
 
@@ -37,19 +35,18 @@ class QPError(RuntimeError):
 class QPProblem:
     """min 0.5 y^T A y - b^T y + c  subject to  y >= xi."""
 
-    apply_A: callable
+    A: np.ndarray
     b: np.ndarray
     xi: np.ndarray
     c: float = 0.0
-    diag: np.ndarray = None  # exact diag(A), enables Jacobi scaling
-    norm: float = None  # norm of the Jacobi-scaled A; None: estimated per solve
+    scaled: tuple = None  # jacobi_scaling(A); None: built per solve
 
     @property
     def dim(self) -> int:
         return len(self.b)
 
     def objective(self, y: np.ndarray) -> float:
-        return float(0.5 * y @ self.apply_A(y) - self.b @ y + self.c)
+        return float(0.5 * y @ (self.A @ y) - self.b @ y + self.c)
 
 
 @dataclass
@@ -61,53 +58,44 @@ class QPSolution:
 
 
 def quadratic_part(op, c_beta: float):
-    """(apply_A, diag(A), norm of the Jacobi-scaled A) of the step QP with
-    compliance factor c_beta = tau k_g / (tau + chi).
+    """(A, jacobi_scaling(A)) of the step QP with compliance factor
+    c_beta = tau k_g / (tau + chi).
 
-    A depends only on the operator and c_beta, so the three are built once
-    per distinct c_beta and kept on the operator; the norm is taken on the
-    scaled operator that mprgp_solve iterates with.
+    A is the contact Hessian H pulled back to y by B = dw/dy (w the global
+    gap, w_t = (y1 - y2)/2 and w_n = y4 - y3 in the nodal frames), plus
+    c_beta M on the y3 block.  A depends only on the operator and c_beta,
+    so it and its scaled form are built once per distinct c_beta and kept
+    on the operator.
     """
     part = op.qp_parts.get(c_beta)
     if part is not None:
         return part
-    T, U, V = op.T, op.U, op.V
-    Cb = c_beta * op.M
-
-    def apply_A(y):
-        y1, y2, y3, y4 = split_y(y)
-        w_t = 0.5 * (y1 - y2)
-        w_n = y4 - y3
-        g_t = T @ w_t + U @ w_n
-        g_n = U.T @ w_t + V @ w_n
-        return np.concatenate([
-            0.5 * g_t, -0.5 * g_t, Cb @ y3 - g_n, g_n,
-        ])
-
-    diag = np.concatenate([
-        0.25 * np.diag(T), 0.25 * np.diag(T),
-        np.diag(Cb) + np.diag(V), np.diag(V),
-    ])
-    _, scaled = jacobi_scaling(apply_A, diag)
-    part = apply_A, diag, estimate_norm(scaled, len(diag))
+    pair, n = op.im.pair, op.n_w // 2
+    # nodal (t or n) component -> interleaved global xy components
+    R_t, R_n = ((v[:, :, None] * np.eye(n)[:, None, :]).reshape(2 * n, n)
+                for v in (pair.tangent, pair.normal))
+    B = np.hstack([0.5 * R_t, -0.5 * R_t, -R_n, R_n])
+    A = B.T @ op.H @ B
+    A[2 * n:3 * n, 2 * n:3 * n] += c_beta * op.M
+    A = 0.5 * (A + A.T)
+    part = A, jacobi_scaling(A)
     op.qp_parts[c_beta] = part
     return part
 
 
-def build_qp(op, offset, law: ContactLaw, tau: float, chi: float,
+def build_qp(op, d: np.ndarray, law: ContactLaw, tau: float, chi: float,
              z_prev: GapState) -> QPProblem:
-    """Assemble the per-step QP from the Steklov operator and the offset
-    state (the solution for the step's boundary data at zero gap).
+    """Assemble the per-step QP from the Steklov operator and the step's
+    known boundary data d (the offset state is the solution at zero gap).
 
-    The quadratic part combines the elastic contact response (the operator's
-    frame blocks of the dense Hessian, so applications in the solver are
-    plain matvecs) with the compliance mass term; the linear part carries
-    the load offset and the frozen friction coupling.
+    The quadratic part combines the elastic contact response with the
+    compliance mass term; the linear part carries the offset gradient
+    -G_R d and the frozen friction coupling, the constant the offset
+    potential -d^T P d / 2.
     """
-    M = op.M
-    apply_A, diag, norm = quadratic_part(op, tau * law.k_g / (tau + chi))
-    g_off_t, g_off_n = frame_split(op.im.pair, op.gradient(offset))
-    fric = law.mu * law.k_g * (M @ z_prev.beta_prev())
+    A, scaled = quadratic_part(op, tau * law.k_g / (tau + chi))
+    g_off_t, g_off_n = frame_split(op.im.pair, -(op.G[:, :op.n_known] @ d))
+    fric = law.mu * law.k_g * (op.M @ z_prev.beta_prev())
     b = -np.concatenate([
         0.5 * fric + 0.5 * g_off_t,
         0.5 * fric - 0.5 * g_off_t,
@@ -115,20 +103,21 @@ def build_qp(op, offset, law: ContactLaw, tau: float, chi: float,
         g_off_n,
     ])
     xi = mosco_bounds(z_prev, tau, chi)
-    return QPProblem(apply_A=apply_A, b=b, xi=xi, c=op.potential(offset),
-                     diag=diag, norm=norm)
+    return QPProblem(A=A, b=b, xi=xi, c=float(-0.5 * d @ (op.P @ d)),
+                     scaled=scaled)
 
 
-def jacobi_scaling(apply_A, diag):
-    """Scaling s = sqrt(diag) and the scaled operator y_hat -> A(y_hat/s)/s.
-
-    Returns (None, apply_A) without a positive diagonal.  Tiny diagonal
-    entries are floored at 1e-12 of the largest.
-    """
-    if diag is None or not np.any(diag > 0):
-        return None, apply_A
-    scal = np.sqrt(np.maximum(diag, 1e-12 * diag.max()))
-    return scal, lambda yh: apply_A(yh / scal) / scal
+def jacobi_scaling(A: np.ndarray):
+    """(s, A_hat, norm of A_hat): s = sqrt(diag A), with tiny diagonal
+    entries floored at 1e-12 of the largest (s = 1 without a positive
+    diagonal), and A_hat = S^-1 A S^-1 for S = diag(s)."""
+    diag = np.diag(A)
+    if np.any(diag > 0):
+        s = np.sqrt(np.maximum(diag, 1e-12 * diag.max()))
+    else:
+        s = np.ones(len(diag))
+    A_hat = A / s[:, None] / s[None, :]
+    return s, A_hat, estimate_norm(A_hat)
 
 
 def _norm(v: np.ndarray) -> float:
@@ -136,14 +125,14 @@ def _norm(v: np.ndarray) -> float:
     return math.sqrt(v.dot(v))
 
 
-def estimate_norm(apply_A, dim: int, iters: int = 20, seed: int = 0) -> float:
+def estimate_norm(A: np.ndarray, iters: int = 20, seed: int = 0) -> float:
     """Operator-norm estimate by power iteration (A symmetric PSD)."""
     rng = np.random.default_rng(seed)
-    v = rng.normal(size=dim)
+    v = rng.normal(size=len(A))
     v /= _norm(v)
     lam = 0.0
     for _ in range(iters):
-        av = apply_A(v)
+        av = A @ v
         lam = float(v @ av)
         nrm = _norm(av)
         if nrm == 0.0:
@@ -163,29 +152,26 @@ def mprgp_solve(p: QPProblem, y0: np.ndarray = None, rtol: float = 1e-8,
     """Projected CG with proportioning and expansion for min over y >= xi.
 
     Stops when the projected gradient norm drops below rtol times the
-    gradient scale; raises on the iteration cap.  When the problem carries
-    its exact diagonal, the iteration runs on the Jacobi-scaled variables
-    y_hat = sqrt(diag) * y; the positive diagonal scaling preserves the
-    bound structure and equalizes stiff and soft rows, which keeps the
-    fixed expansion step effective.  The norm of the scaled A comes from
-    the problem when it carries one, else from a power iteration.
+    gradient scale; raises on the iteration cap.  The iteration runs on the
+    Jacobi-scaled variables y_hat = s * y with the scaled matrix A_hat of
+    jacobi_scaling, taken from the problem when it carries them: the
+    positive diagonal scaling preserves the bound structure and equalizes
+    stiff and soft rows, which keeps the fixed expansion step effective.
+    Every application of A is one matvec with A_hat.
     """
     n = p.dim
     if max_iter is None:
         max_iter = 50 * n
-    scal, apply_A = jacobi_scaling(p.apply_A, p.diag)
-    b, xi = p.b, p.xi
-    if scal is not None:
-        b = p.b / scal
-        xi = p.xi * scal
-        if y0 is not None:
-            y0 = y0 * scal
+    scal, A, norm_A = p.scaled if p.scaled is not None else jacobi_scaling(p.A)
+    b = p.b / scal
+    xi = p.xi * scal
+    if y0 is not None:
+        y0 = y0 * scal
     y = np.maximum(y0 if y0 is not None else xi, xi).astype(float)
-    norm_A = p.norm if p.norm is not None else estimate_norm(apply_A, n)
     abar = 1.0 / norm_A if norm_A > 0 else 1.0
     tiny = 1e-13
 
-    g = apply_A(y) - b
+    g = A @ y - b
     nb = 1
     tol = rtol * max(_norm(b), tiny)
     act_below = xi + tiny * (1.0 + np.abs(xi))
@@ -206,7 +192,7 @@ def mprgp_solve(p: QPProblem, y0: np.ndarray = None, rtol: float = 1e-8,
             telemetry.append((it, nu, int(act.sum()), obj))
         if nu <= tol:
             # recurred gradients drift; confirm against a fresh residual
-            g = apply_A(y) - b
+            g = A @ y - b
             nb += 1
             act, free_g, chop_g = parts(y, g)
             nu = _norm(free_g + chop_g)
@@ -219,7 +205,7 @@ def mprgp_solve(p: QPProblem, y0: np.ndarray = None, rtol: float = 1e-8,
         it += 1
         if chop_g @ chop_g <= free_g @ d:
             # dominance of the free gradient: try a CG step along d
-            Ad = apply_A(d)
+            Ad = A @ d
             nb += 1
             dAd = float(d @ Ad)
             a_f = _max_feasible_step(y, d, xi)
@@ -238,14 +224,14 @@ def mprgp_solve(p: QPProblem, y0: np.ndarray = None, rtol: float = 1e-8,
                     g = g - a_f * Ad
                 act, free_g, _ = parts(y, g)
                 y = np.maximum(y - abar * free_g, xi)
-                g = apply_A(y) - b
+                g = A @ y - b
                 nb += 1
                 act, free_g, chop_g = parts(y, g)
                 d = free_g.copy()
         else:
             # proportioning: release active components with negative gradient
             d_c = chop_g
-            Ad = apply_A(d_c)
+            Ad = A @ d_c
             nb += 1
             dAd = float(d_c @ Ad)
             a_cg = (g @ d_c) / dAd if dAd > 0 else abar
@@ -254,6 +240,4 @@ def mprgp_solve(p: QPProblem, y0: np.ndarray = None, rtol: float = 1e-8,
             act, free_g, chop_g = parts(y, g)
             d = free_g.copy()
 
-    if scal is not None:
-        y = y / scal
-    return QPSolution(y=y, iterations=it, active=act, n_backsolves=nb)
+    return QPSolution(y=y / scal, iterations=it, active=act, n_backsolves=nb)

@@ -17,7 +17,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from contactbem.assembly import assemble, solve_tbvp
+from contactbem.assembly import assemble, known_data_vector, solve_tbvp
 from contactbem.cli import (
     build_system,
     energy_row,
@@ -164,8 +164,7 @@ def test_criterion_03_qp_oracle(capsys):
         b = rng.normal(size=n)
         xi = rng.uniform(-1.0, 1.0, size=n)
         y_ref = _active_set_oracle(A, b, xi)
-        p = QPProblem(apply_A=lambda y, A=A: A @ y, b=b, xi=xi,
-                      diag=np.diag(A).copy())
+        p = QPProblem(A=A, b=b, xi=xi)
         y = mprgp_solve(p, rtol=1e-12).y
         worst = max(worst, float(np.linalg.norm(y - y_ref)
                                  / max(1.0, np.linalg.norm(y_ref))))
@@ -216,9 +215,9 @@ def test_criterion_05_coulomb_cone(capsys, receding):
                                system.loads.g_at(rec.t - rec.tau),
                                rec.tau, sc.chi)
     op = SteklovOperator(system.im)
-    offset = op.solve(np.zeros(op.n_w), g_til, system.loads.f_at(rec.t))
-    qp = build_qp(op, offset, sc.law, rec.tau, sc.chi, z_prev)
-    g1, g2, _, _ = split_y(qp.apply_A(rec.y) - qp.b)
+    d = known_data_vector(system.im, g_til, system.loads.f_at(rec.t))
+    qp = build_qp(op, d, sc.law, rec.tau, sc.chi, z_prev)
+    g1, g2, _, _ = split_y(qp.A @ rec.y - qp.b)
     F_t = g1 - g2  # nodal tangential contact force
     F_mu = g1 + g2  # nodal friction bound (mu k_g M beta weight)
     cone = float((np.abs(F_t) - F_mu).max() / max(F_mu.max(), 1e-30))
@@ -377,7 +376,8 @@ def test_golden_preset_outputs(capsys, receding, conforming, skewed):
     receding and conforming: every energy_log.csv column and the final p_n
     within 1e-9 of the column's largest magnitude.  skewed (adaptive): the
     same accepted-step count, the ledger sums (R1, twoR2, work, deltaE)
-    within 1e-9 relative and the final p_n as above.
+    within 1e-9 relative, and the final p_n and the p_n of the step with the
+    largest |p_n| as above.
     """
     golden = np.load(Path(__file__).parent / "data" / "golden_presets.npz")
     devs = {}
@@ -396,6 +396,9 @@ def test_golden_preset_outputs(capsys, receding, conforming, skewed):
     devs["skewed ledger"] = float((np.abs(ledger - ref) / np.abs(ref)).max())
     devs["skewed p_n"] = _column_deviation(records[-1].p_n,
                                            golden["skewed_p_n"])
+    peak = max((r.p_n for r in records), key=lambda p: np.abs(p).max())
+    devs["skewed p_n peak"] = _column_deviation(peak,
+                                                golden["skewed_p_n_peak"])
     detail = ", ".join(f"{k} {v:.1e}" for k, v in devs.items())
     with capsys.disabled():
         print(f"golden preset deviations: {detail}")

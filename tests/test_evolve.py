@@ -1,8 +1,14 @@
 import numpy as np
 import pytest
 
-from contactbem.assembly import _master_w_columns, assemble
-from contactbem.contact import ContactLaw, GapState, contact_mass
+from contactbem.assembly import (
+    InfluenceMatrices,
+    _master_w_columns,
+    assemble,
+    known_data_vector,
+    solve_tbvp,
+)
+from contactbem.contact import ContactLaw, GapState, contact_mass, frame_split
 from contactbem.evolve import (
     EnergyResiduum,
     EvolveError,
@@ -15,6 +21,7 @@ from contactbem.evolve import (
     step,
 )
 from contactbem.mesh import Material, build_mesh, element_frame, pair_contacts
+from contactbem.qp import build_qp
 from contactbem.steklov import SteklovOperator
 
 MAT = Material(young_modulus=200.0, poisson_ratio=0.3)
@@ -153,7 +160,7 @@ def test_gap_recursion_exact():
     op = SteklovOperator(im)
     state = EvolutionState.initial(im)
     for _ in range(3):
-        result = step(op, LAW, chi, lp, state, tau)
+        result = step(op, LAW, chi, lp.known(im), state, tau)
         # reconstruct w from the recursion and re-apply it
         lam = tau / (tau + chi)
         w_t = (result.state.z.z_t - (1 - lam) * state.z.z_t) / lam
@@ -167,12 +174,14 @@ def test_chi_zero_degenerate_recursion():
     pair, im = stacked_system()
     lp = pressure_ramp(im, -0.5, t_ramp=5e-3, t_end=1e-2)
     state = EvolutionState.initial(im)
-    result = step(SteklovOperator(im), LAW, chi=0.0, loads=lp, state=state,
+    op = SteklovOperator(im)
+    result = step(op, LAW, chi=0.0, data=lp.known(im), state=state,
                   tau=1e-3)
     # z^k = w^k when chi = 0: the fictitious trace is the real one
     wcols = _master_w_columns(pair)
-    w_master = result.sol.v[1][wcols]
-    assert np.allclose(result.state.u[1][wcols], w_master, atol=1e-14)
+    w_master = op.traces(result.s).v[1][wcols]
+    assert np.allclose(op.traces(result.state.s).v[1][wcols], w_master,
+                       atol=1e-14)
 
 
 def test_ledger_consistency():
@@ -215,9 +224,10 @@ def test_dirichlet_squeeze_lift_terms():
 
 
 def test_no_load_independent_rebuild_per_step(monkeypatch):
-    """Once the operator exists, steps (lift solves included) construct no
-    DomainDof, call no contact_mass and build no Hessian; a run builds its
-    operator once."""
+    """Once the operator exists, steps (Dirichlet lifts included) construct
+    no DomainDof, call no contact_mass, build no Hessian, make no full solve
+    or backsolve and read no per-domain mass Mg; a run builds its operator
+    once, with one multi-RHS backsolve."""
     from contactbem import assembly, contact, evolve, qp, steklov
 
     pair, im = stacked_system(top_tag="D")
@@ -227,7 +237,7 @@ def test_no_load_independent_rebuild_per_step(monkeypatch):
                      g_D=[np.stack([0 * g1, g1, g1]), None], f_N=[None, None])
     op = SteklovOperator(im)
     calls = dict.fromkeys(("DomainDof", "contact_mass", "hessian",
-                           "SteklovOperator"), 0)
+                           "SteklovOperator", "solve_tbvp", "solve"), 0)
 
     def counted(owner, name):
         func = getattr(owner, name)
@@ -243,14 +253,21 @@ def test_no_load_independent_rebuild_per_step(monkeypatch):
         counted(module, "contact_mass")
     counted(steklov.SteklovOperator, "hessian")
     counted(evolve, "SteklovOperator")
+    for module in (assembly, evolve, steklov):
+        counted(module, "solve_tbvp")
+    counted(InfluenceMatrices, "solve")
     state = EvolutionState.initial(im)
+    data = lp.known(im)
+    Mg, im.Mg = im.Mg, None  # a step that pairs through Mg fails
     for _ in range(4):
-        state = step(op, LAW, 1e-3, lp, state, 1e-3).state
+        state = step(op, LAW, 1e-3, data, state, 1e-3).state
+    assert state.k == 4 and np.any(state.s)
+    im.Mg = Mg
     assert calls == dict.fromkeys(calls, 0)
     recs = run(im, LAW, chi=1e-3, loads=lp, t_end=5e-3, tau=1e-3)
     assert len(recs) == 5
     assert calls == {"DomainDof": 0, "contact_mass": 1, "hessian": 1,
-                     "SteklovOperator": 1}
+                     "SteklovOperator": 1, "solve_tbvp": 0, "solve": 1}
 
 
 def test_adaptive_run_respects_epsilon():
@@ -293,7 +310,7 @@ def test_qp_norm_estimated_once_per_step_size(monkeypatch):
         return step_(*args, **kwargs)
 
     def counted_norm(*args, **kwargs):
-        norms.append(args[1])
+        norms.append(len(args[0]))
         return estimate_norm(*args, **kwargs)
 
     monkeypatch.setattr(evolve, "step", counted_step)
@@ -307,8 +324,6 @@ def test_qp_norm_estimated_once_per_step_size(monkeypatch):
 def test_contact_traction_extraction_constant_state():
     """On the exact uniaxial transmission state the nodal extraction returns
     the constant traction (p_t, p_n) = (0, f) at every master node."""
-    from contactbem.assembly import solve_tbvp
-
     f = -5.0
     pair, im = stacked_system()
     E, nu = MAT.young_modulus, MAT.poisson_ratio
@@ -317,9 +332,89 @@ def test_contact_traction_extraction_constant_state():
     meshB = pair.mesh_B
     g_B = np.zeros(2 * meshB.n_nodes)
     g_B[0::2] = e11 * meshB.nodes[:, 0]
-    sol = solve_tbvp(im, [np.zeros(2 * pair.mesh_A.n_nodes), g_B],
-                     [top_pressure_vector(im, f), None],
-                     w=np.zeros(2 * pair.n_master_nodes))
-    p_t, p_n = contact_tractions(SteklovOperator(im), sol)
+    d = known_data_vector(im, [np.zeros(2 * pair.mesh_A.n_nodes), g_B],
+                          [top_pressure_vector(im, f), None])
+    s = np.concatenate([d, np.zeros(2 * pair.n_master_nodes)])
+    p_t, p_n = contact_tractions(SteklovOperator(im), s)
     assert np.allclose(p_n, f, rtol=1e-6)
     assert np.abs(p_t).max() <= 1e-6 * abs(f)
+
+
+def test_contact_space_step_matches_full_solves():
+    """A step's contact-space forms reproduce the full-solve formulas: the
+    offset gradient and potential and the contact force of full solves, and
+    all six energy terms and the state traces from fields paired through the
+    per-domain mass Mg, under moving Dirichlet data and a Neumann load."""
+    pair, im = stacked_system()
+    meshB = pair.mesh_B
+    gB = np.zeros(2 * meshB.n_nodes)
+    gB[0::2], gB[1::2] = 2e-4, -1e-4  # the support slides and sinks
+    f1 = top_pressure_vector(im, -0.5)
+    lp = LoadProgram(times=[0.0, 5e-3, 1e-2],
+                     g_D=[None, np.stack([0 * gB, gB, 0.5 * gB])],
+                     f_N=[np.stack([0 * f1, f1, f1]), None])
+    chi, tau = 1e-3, 1e-3
+    op = SteklovOperator(im)
+    data = lp.known(im)
+    M, W, nk = op.M, im.W, op.n_known
+    state = EvolutionState.initial(im)
+    u = [np.zeros(2 * dd.n_psi) for dd in im.layout.domains]
+    pu = [np.zeros(2 * dd.n_phi) for dd in im.layout.domains]
+
+    def pairing(ps, vs):
+        return sum(float(p @ (Mg @ v)) for p, v, Mg in zip(ps, vs, im.Mg))
+
+    def close(got, ref, scale):
+        assert np.abs(np.asarray(got) - ref).max() <= 1e-10 * scale
+
+    for _ in range(6):
+        t_k = state.t + tau
+        g_now = lp.g_at(t_k)
+        g_til = modified_dirichlet(g_now, lp.g_at(t_k - tau), tau, chi)
+        f_k = lp.f_at(t_k)
+        d = known_data_vector(im, g_til, f_k)
+        offset = op.solve(np.zeros(op.n_w), g_til, f_k)
+        grad = op.gradient(offset)
+        close(-op.G[:, :nk] @ d, grad, np.abs(grad).max())
+        qp = build_qp(op, d, LAW, tau, chi, state.z)
+        close(qp.c, op.potential(offset), abs(op.potential(offset)))
+
+        result = step(op, LAW, chi, data, state, tau)
+        close(result.s[:nk], d, np.abs(d).max())
+        sol = op.solve(result.s[nk:], g_til, f_k)
+        force = W.T @ sol.x
+        close(op.G @ result.s, force, np.abs(force).max())
+        p_xy = np.linalg.solve(M, force.reshape(-1, 2)).ravel()
+        p_ref = frame_split(pair, p_xy)
+        close(contact_tractions(op, result.s), p_ref, np.abs(p_xy).max())
+
+        lam = tau / (tau + chi)
+        u_new = [lam * v + (1 - lam) * a for v, a in zip(sol.v, u)]
+        pu_new = [lam * p + (1 - lam) * q for p, q in zip(sol.p, pu)]
+        du = [a - b for a, b in zip(u_new, u)]
+        dp = [a - b for a, b in zip(pu_new, pu)]
+        z, z_old = result.state.z, state.z
+        beta = z.beta_prev()
+        dg = [None if gn is None else gn - go
+              for gn, go in zip(g_now, lp.g_at(state.t))]
+        lift = solve_tbvp(im, dg, [None, None], w=np.zeros(op.n_w))
+        ref = {
+            "r1": LAW.mu * LAW.k_g * z_old.beta_prev() @ (
+                M @ np.abs(z.z_t - z_old.z_t)),
+            "visc": (chi / tau) * pairing(dp, du),
+            "stored_new": 0.5 * pairing(pu_new, u_new)
+            + 0.5 * LAW.k_g * beta @ (M @ beta),
+            "work_mixed": 0.5 * (pairing(pu, lift.v) + pairing(lift.p, u))
+            + (chi / tau) * 0.5 * (pairing(dp, lift.v) + pairing(lift.p, du)),
+            "work_lift": 0.5 * pairing(lift.p, lift.v),
+            "work_ext": pairing([f for f in f_k if f is not None], du[:1]),
+        }
+        assert abs(ref["work_lift"]) > 0 and abs(ref["work_ext"]) > 0
+        scale = max(abs(v) for v in ref.values())
+        for name, value in ref.items():
+            close(getattr(result.residuum, name), value, scale)
+        close(result.residuum.stored_old, state.stored, scale)
+        traces = op.traces(result.state.s)
+        for got, want in zip(traces.p + traces.v, pu_new + u_new):
+            close(got, want, np.abs(want).max() + 1e-30)
+        state, u, pu = result.state, u_new, pu_new

@@ -4,7 +4,7 @@ import itertools
 import numpy as np
 import pytest
 
-from contactbem.assembly import assemble
+from contactbem.assembly import assemble, known_data_vector
 from contactbem.contact import ContactLaw, GapState, incremental_energy, y_to_awb
 from contactbem.mesh import Material, build_mesh, pair_contacts
 from contactbem.qp import (
@@ -41,17 +41,7 @@ def stacked_op(nA=2, nB=2, pressure=-2.0):
             f[ddA.phi_dofs_of_element(e)[1::2]] = pressure
     op = SteklovOperator(im)
     data = ([None, None], [f, None])
-    return pair, op, data, op.solve(np.zeros(op.n_w), *data)
-
-
-def dense_matrix(p):
-    A = np.empty((p.dim, p.dim))
-    e = np.zeros(p.dim)
-    for i in range(p.dim):
-        e[i] = 1.0
-        A[:, i] = p.apply_A(e)
-        e[i] = 0.0
-    return A
+    return pair, op, data, known_data_vector(im, *data)
 
 
 def random_problem(rng, n):
@@ -59,7 +49,7 @@ def random_problem(rng, n):
     A = B @ B.T + n * np.eye(n)
     b = rng.normal(size=n)
     xi = rng.normal(size=n) * 0.5
-    return QPProblem(apply_A=lambda y: A @ y, b=b, xi=xi), A
+    return QPProblem(A=A, b=b, xi=xi), A
 
 
 def oracle_solve(A, b, xi):
@@ -86,28 +76,28 @@ def oracle_solve(A, b, xi):
 
 
 def test_operator_symmetry_and_semidefiniteness():
-    pair, op, _, offset = stacked_op()
+    pair, op, _, d = stacked_op()
     z = GapState.rest(pair.n_master_nodes)
-    p = build_qp(op, offset, LAW, tau=1e-3, chi=1e-3, z_prev=z)
+    p = build_qp(op, d, LAW, tau=1e-3, chi=1e-3, z_prev=z)
     for _ in range(5):
         y1, y2 = RNG.normal(size=(2, p.dim))
-        a1, a2 = p.apply_A(y1), p.apply_A(y2)
+        a1, a2 = p.A @ y1, p.A @ y2
         s = abs(y2 @ a1) + abs(y1 @ a2) + 1e-30
         assert abs(y2 @ a1 - y1 @ a2) <= 1e-9 * s
-        assert y1 @ a1 >= -1e-12 * (y1 @ y1) * estimate_norm(p.apply_A, p.dim)
-    assert np.allclose(p.apply_A(np.zeros(p.dim)), 0.0)
+        assert y1 @ a1 >= -1e-12 * (y1 @ y1) * estimate_norm(p.A)
+    assert np.allclose(p.A @ np.zeros(p.dim), 0.0)
 
 
 def test_dense_operator_matches_fd_hessian():
-    """The implicit QP operator equals the central-difference Hessian of the
+    """The explicit QP matrix equals the central-difference Hessian of the
     incremental functional pulled back to the transformed variables."""
-    pair, op, data, offset = stacked_op()
+    pair, op, data, d = stacked_op()
     n_c = pair.n_master_nodes
     z = GapState(z_t=RNG.normal(size=n_c) * 1e-4,
                  z_n=-np.abs(RNG.normal(size=n_c)) * 1e-4)
     tau, chi = 1e-3, 5e-4
-    p = build_qp(op, offset, LAW, tau, chi, z)
-    A = dense_matrix(p)
+    p = build_qp(op, d, LAW, tau, chi, z)
+    A = p.A
     assert np.abs(A - A.T).max() <= 1e-9 * np.abs(A).max()
 
     def f(y):
@@ -130,11 +120,11 @@ def test_dense_operator_matches_fd_hessian():
 
 
 def test_objective_equals_incremental_energy():
-    pair, op, data, offset = stacked_op()
+    pair, op, data, d = stacked_op()
     n_c = pair.n_master_nodes
     z = GapState(z_t=np.zeros(n_c), z_n=np.full(n_c, -1e-4))
     tau, chi = 1e-3, 1e-3
-    p = build_qp(op, offset, LAW, tau, chi, z)
+    p = build_qp(op, d, LAW, tau, chi, z)
     for _ in range(3):
         y = RNG.normal(size=p.dim) * 1e-4
         alpha, beta, w_t, w_n = y_to_awb(y)
@@ -144,25 +134,25 @@ def test_objective_equals_incremental_energy():
 
 
 def test_cached_norm_reproduces_recomputed_norm():
-    """MPRGP with the norm build_qp caches per step size takes exactly the
-    iterates of a solve that estimates the norm itself."""
-    pair, op, data, offset = stacked_op(nA=3, nB=3)
+    """MPRGP with the scaled matrix and norm build_qp caches per step size
+    takes exactly the iterates of a solve that builds them itself."""
+    pair, op, data, d = stacked_op(nA=3, nB=3)
     rng = np.random.default_rng(5)
     n = pair.n_master_nodes
     z_prev = GapState(z_t=rng.normal(size=n) * 1e-4,
                       z_n=-np.abs(rng.normal(size=n)) * 1e-4)
-    p = build_qp(op, offset, LAW, tau=1e-3, chi=1e-3, z_prev=z_prev)
-    assert p.norm is not None
+    p = build_qp(op, d, LAW, tau=1e-3, chi=1e-3, z_prev=z_prev)
+    assert p.scaled is not None
     for y0 in (None, p.xi + 1e-4):
         cached = mprgp_solve(p, y0=y0)
-        fresh = mprgp_solve(dataclasses.replace(p, norm=None), y0=y0)
+        fresh = mprgp_solve(dataclasses.replace(p, scaled=None), y0=y0)
         assert np.array_equal(cached.y, fresh.y)
         assert cached.iterations == fresh.iterations
         assert cached.n_backsolves == fresh.n_backsolves
 
 
 def test_1d_clamped_minimum():
-    p = QPProblem(apply_A=lambda y: y.copy(), b=np.array([3.0]),
+    p = QPProblem(A=np.eye(1), b=np.array([3.0]),
                   xi=np.array([5.0]))
     sol = mprgp_solve(p, y0=np.array([9.0]))
     assert sol.y[0] == pytest.approx(5.0, abs=1e-12)
@@ -207,10 +197,10 @@ def test_objective_monotone_and_kkt():
 def test_semidefinite_alpha_direction_handled():
     """The built contact QP has zero curvature along pure slip-magnitude
     directions; the solver must still converge (bounds catch the descent)."""
-    pair, op, _, offset = stacked_op()
+    pair, op, _, d = stacked_op()
     n_c = pair.n_master_nodes
     z = GapState(z_t=np.zeros(n_c), z_n=np.full(n_c, -5e-5))
-    p = build_qp(op, offset, LAW, tau=1e-3, chi=1e-3, z_prev=z)
+    p = build_qp(op, d, LAW, tau=1e-3, chi=1e-3, z_prev=z)
     sol = mprgp_solve(p, rtol=1e-9)
     alpha, beta, w_t, w_n = y_to_awb(sol.y)
     # slip magnitude tight against |w_t - z_t| at the optimum

@@ -28,7 +28,7 @@ from .assembly import AssemblyError, assemble, geometry_hash
 from .contact import ContactError, ContactLaw
 from .evolve import EvolveError, LoadProgram, run
 from .kernels import KernelError
-from .mesh import Material, MeshError, build_mesh, pair_contacts
+from .mesh import VALID_TAGS, Material, MeshError, build_mesh, pair_contacts
 from .qp import QPError
 from .steklov import SteklovError
 
@@ -49,18 +49,43 @@ def _take(d: dict, key, path, required=True, default=None):
 
 def _done(d: dict, path):
     if d:
-        raise ConfigError(f"{path}: unknown keys {sorted(d)}")
+        raise ConfigError(f"{path}: unknown keys {sorted(d, key=str)}")
 
 
-def _number(v, path, lo=None, hi=None):
-    if not isinstance(v, (int, float)) or isinstance(v, bool):
-        raise ConfigError(f"{path}: expected a number, got {v!r}")
-    v = float(v)
+def _mapping(v, path) -> dict:
+    if not isinstance(v, dict):
+        raise ConfigError(f"{path}: expected a mapping, got {v!r}")
+    return dict(v)
+
+
+def _list(v, path) -> list:
+    if not isinstance(v, (list, tuple)):
+        raise ConfigError(f"{path}: expected a list, got {v!r}")
+    return v
+
+
+def _number(v, path, lo=None, hi=None, integer=False):
+    """A finite number within [lo, hi]: float, or int if integer is set."""
+    # abs(v) <= max float also rejects nan, inf and ints beyond float range
+    if (not isinstance(v, int if integer else (int, float))
+            or isinstance(v, bool)
+            or not (integer or abs(v) <= sys.float_info.max)):
+        kind = "an integer" if integer else "a finite number"
+        raise ConfigError(f"{path}: expected {kind}, got {v!r}")
+    v = v if integer else float(v)
     if lo is not None and v < lo:
         raise ConfigError(f"{path}: value {v} below minimum {lo}")
     if hi is not None and v > hi:
         raise ConfigError(f"{path}: value {v} above maximum {hi}")
     return v
+
+
+def _points(raw, path) -> list:
+    """A list of [x, y] number pairs."""
+    for i, v in enumerate(_list(raw, path)):
+        if len(_list(v, f"{path}[{i}]")) != 2:
+            raise ConfigError(f"{path}[{i}]: expected [x, y], got {v!r}")
+    return [[_number(c, f"{path}[{i}]") for c in v] for i, v in enumerate(raw)]
 
 
 @dataclass
@@ -98,10 +123,13 @@ class Scenario:
 
 def _parse_parts(raw, path):
     parts = []
-    for i, p in enumerate(raw):
-        p = dict(p)
+    for i, p in enumerate(_list(raw, path)):
+        p = _mapping(p, f"{path}[{i}]")
         tag = _take(p, "tag", f"{path}[{i}]")
-        n = int(_number(_take(p, "n", f"{path}[{i}]"), f"{path}[{i}].n", lo=1))
+        if tag not in VALID_TAGS:
+            raise ConfigError(f"{path}[{i}].tag: unknown tag {tag!r}")
+        n = _number(_take(p, "n", f"{path}[{i}]"), f"{path}[{i}].n", lo=1,
+                    integer=True)
         part = {"tag": tag, "n": n}
         grade = _take(p, "grade", f"{path}[{i}]", required=False)
         if grade is not None:
@@ -118,18 +146,19 @@ def _parse_parts(raw, path):
 
 def _parse_loads(raw, path, n_times, value_key):
     out = []
-    for i, entry in enumerate(raw or []):
-        entry = dict(entry)
+    for i, entry in enumerate(_list([] if raw is None else raw, path)):
         p = f"{path}[{i}]"
-        dom = int(_number(_take(entry, "domain", p), f"{p}.domain", lo=0, hi=1))
-        seg = int(_number(_take(entry, "segment", p), f"{p}.segment", lo=0))
-        vals = _take(entry, value_key, p)
+        entry = _mapping(entry, p)
+        dom = _number(_take(entry, "domain", p), f"{p}.domain", lo=0, hi=1,
+                      integer=True)
+        seg = _number(_take(entry, "segment", p), f"{p}.segment", lo=0,
+                      integer=True)
+        vals = _points(_take(entry, value_key, p), f"{p}.{value_key}")
         _done(entry, p)
-        arr = np.asarray(vals, dtype=float)
-        if arr.shape != (n_times, 2):
-            raise ConfigError(f"{p}.{value_key}: expected shape "
-                              f"({n_times}, 2), got {arr.shape}")
-        out.append({"domain": dom, "segment": seg, "values": arr})
+        if len(vals) != n_times:
+            raise ConfigError(f"{p}.{value_key}: expected one row per entry "
+                              f"of loads.times ({n_times}), got {len(vals)}")
+        out.append({"domain": dom, "segment": seg, "values": np.array(vals)})
     return out
 
 
@@ -145,7 +174,7 @@ def parse_scenario(doc) -> Scenario:
     doc = dict(doc)
     name = str(_take(doc, "name", "scenario"))
     chi = _number(_take(doc, "chi", "scenario"), "chi", lo=0.0)
-    law_raw = dict(_take(doc, "contact", "scenario"))
+    law_raw = _mapping(_take(doc, "contact", "scenario"), "contact")
     try:
         law = ContactLaw(
             mu=_number(_take(law_raw, "mu", "contact"), "contact.mu"),
@@ -160,31 +189,31 @@ def parse_scenario(doc) -> Scenario:
         raise ConfigError("domains: exactly two domains (A then B) required")
     domains = []
     for j, rd in enumerate(raw_domains):
-        rd = dict(rd)
         p = f"domains[{j}]"
-        mat_raw = dict(_take(rd, "material", p))
+        rd = _mapping(rd, p)
+        mat_raw = _mapping(_take(rd, "material", p), f"{p}.material")
         E = _number(_take(mat_raw, "E", f"{p}.material"), f"{p}.material.E",
                     lo=1e-12)
         nu = _number(_take(mat_raw, "nu", f"{p}.material"), f"{p}.material.nu",
                      lo=0.0, hi=0.5 - 1e-12)
         _done(mat_raw, f"{p}.material")
-        poly = _take(rd, "polyline", p)
+        poly = _points(_take(rd, "polyline", p), f"{p}.polyline")
         parts = _parse_parts(_take(rd, "parts", p), f"{p}.parts")
         floating = bool(_take(rd, "allow_floating", p, required=False,
                               default=False))
         label = str(_take(rd, "label", p, required=False, default="AB"[j]))
         _done(rd, p)
         if len(poly) != len(parts):
-            raise ConfigError(f"{p}: one part per polyline segment required")
+            raise ConfigError(f"{p}: one part per polyline segment required "
+                              f"({len(parts)} parts, {len(poly)} segments)")
         domains.append(DomainSpec(
             label=label, material=Material(young_modulus=E, poisson_ratio=nu,
                                            relaxation_time=chi),
-            polyline=[[_number(c, f"{p}.polyline") for c in v] for v in poly],
-            parts=parts, allow_floating=floating))
+            polyline=poly, parts=parts, allow_floating=floating))
 
-    loads_raw = dict(_take(doc, "loads", "scenario"))
-    times = [_number(t, "loads.times") for t in _take(loads_raw, "times",
-                                                      "loads")]
+    loads_raw = _mapping(_take(doc, "loads", "scenario"), "loads")
+    times = [_number(t, "loads.times")
+             for t in _list(_take(loads_raw, "times", "loads"), "loads.times")]
     if len(times) < 1 or any(b <= a for a, b in zip(times, times[1:])):
         raise ConfigError("loads.times: strictly increasing sequence needed")
     neumann = _parse_loads(_take(loads_raw, "neumann", "loads",
@@ -195,8 +224,9 @@ def parse_scenario(doc) -> Scenario:
                              len(times), "values")
     _done(loads_raw, "loads")
 
-    sol_raw = dict(_take(doc, "solver", "scenario"))
+    sol_raw = _mapping(_take(doc, "solver", "scenario"), "solver")
     tau = _number(_take(sol_raw, "tau", "solver"), "solver.tau", lo=1e-15)
+    eps = _take(sol_raw, "eps", "solver", required=False)
     sc = SolverConfig(
         t_end=_number(_take(sol_raw, "t_end", "solver"), "solver.t_end",
                       lo=1e-15),
@@ -205,18 +235,16 @@ def parse_scenario(doc) -> Scenario:
                               default=tau), "solver.tau_min", lo=1e-15),
         tau_max=_number(_take(sol_raw, "tau_max", "solver", required=False,
                               default=tau), "solver.tau_max", lo=1e-15),
-        eps=(None if sol_raw.get("eps") is None
-             else _number(sol_raw.get("eps"), "solver.eps", lo=1e-30)),
+        eps=None if eps is None else _number(eps, "solver.eps", lo=1e-30),
         qp_rtol=_number(_take(sol_raw, "qp_rtol", "solver", required=False,
                               default=1e-8), "solver.qp_rtol", lo=1e-16),
-        plot_every=int(_number(_take(sol_raw, "plot_every", "solver",
-                                     required=False, default=0),
-                               "solver.plot_every", lo=0)),
+        plot_every=_number(_take(sol_raw, "plot_every", "solver",
+                                 required=False, default=0),
+                           "solver.plot_every", lo=0, integer=True),
         magnification=_number(_take(sol_raw, "magnification", "solver",
                                     required=False, default=1000.0),
                               "solver.magnification", lo=0.0),
     )
-    sol_raw.pop("eps", None)
     _done(sol_raw, "solver")
     _done(doc, "scenario")
     return Scenario(name=name, chi=chi, law=law, domains=domains,
@@ -459,7 +487,6 @@ def _reject_dropped(entry, unknown, path, quantity):
 
 @dataclass
 class BuiltSystem:
-    scenario: Scenario
     meshes: list
     pair: object
     im: object
@@ -495,8 +522,7 @@ def build_system(sc: Scenario) -> BuiltSystem:
                         "traction")
         f_tabs[d][:, dofs] = entry["values"][:, None, :]
     loads = LoadProgram(times=sc.load_times, g_D=g_tabs, f_N=f_tabs)
-    return BuiltSystem(scenario=sc, meshes=meshes, pair=pair, im=im,
-                       loads=loads)
+    return BuiltSystem(meshes=meshes, pair=pair, im=im, loads=loads)
 
 
 # -- artifact emission --------------------------------------------------------
@@ -674,10 +700,9 @@ def _build_parser():
     rp.add_argument("--out", default=None, help="output directory")
     rp.add_argument("--tau", type=float, default=None,
                     help="override the initial/fixed time step")
-    rp.add_argument("--adaptive", action="store_true",
-                    help="enable energy-residuum time adaptivity")
     rp.add_argument("--eps", type=float, default=None,
-                    help="residuum tolerance for --adaptive (N mm)")
+                    help="energy-residuum tolerance (N mm); enables time-step "
+                         "adaptivity")
     rp.add_argument("--plot-every", type=int, default=None,
                     help="snapshot cadence in accepted steps (0 = off)")
     return ap
@@ -701,13 +726,8 @@ def _load_scenario(args) -> Scenario:
         sc.solver.tau = args.tau
         sc.solver.tau_min = min(sc.solver.tau_min or args.tau, args.tau)
         sc.solver.tau_max = max(sc.solver.tau_max or args.tau, args.tau)
-    if args.adaptive:
-        if args.eps is None and sc.solver.eps is None:
-            raise ConfigError("--adaptive needs --eps (or a preset default)")
-        if args.eps is not None:
-            sc.solver.eps = args.eps
-    elif args.eps is not None:
-        raise ConfigError("--eps requires --adaptive")
+    if args.eps is not None:
+        sc.solver.eps = _number(args.eps, "--eps", lo=1e-30)
     if args.plot_every is not None:
         sc.solver.plot_every = args.plot_every
     return sc
@@ -717,14 +737,11 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         sc = _load_scenario(args)
-    except (ConfigError, MeshError) as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 2
-    if args.export:
-        print(yaml.safe_dump(scenario_to_dict(sc), sort_keys=False), end="")
-        return 0
-    out = args.out or f"out-{sc.name}"
-    try:
+        if args.export:
+            print(yaml.safe_dump(scenario_to_dict(sc), sort_keys=False),
+                  end="")
+            return 0
+        out = args.out or f"out-{sc.name}"
         records = run_scenario(sc, out)
     except (ConfigError, MeshError) as exc:
         print(f"config error: {exc}", file=sys.stderr)

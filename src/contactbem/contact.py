@@ -34,9 +34,9 @@ class ContactLaw:
 
     def __post_init__(self):
         if not self.mu > 0.0:
-            raise ContactError(f"friction coefficient must be positive: {self.mu}")
+            raise ContactError(f"friction coefficient mu must be positive: {self.mu}")
         if not self.k_g > 0.0:
-            raise ContactError(f"normal stiffness must be positive: {self.k_g}")
+            raise ContactError(f"normal stiffness k_g must be positive: {self.k_g}")
 
 
 @dataclass

@@ -137,18 +137,10 @@ class EnergyResiduum:
     work_mixed: float  # C/D stress work on the Dirichlet-lift increment
     work_lift: float  # elastic energy of the lift increment
     work_ext: float  # Neumann work on the displacement increment
-    gap: float = 0.0  # minimality gap of the incremental functional
-
-    @property
-    def delta(self) -> float:
-        """Energy imbalance of the step, exact in the discrete system.
-
-        Evaluated as the incremental functional at the do-nothing competitor
-        (gap state frozen, slip zero) minus its minimum; nonnegative up to
-        the QP solver tolerance, unlike the boundary-pairing decomposition
-        below, which carries signed discretization error.
-        """
-        return self.gap
+    # energy imbalance, exact in the discrete system: the minimality gap of
+    # the incremental functional (see step), >= 0 up to the QP tolerance,
+    # unlike delta_pairing, which carries signed discretization error
+    delta: float
 
     @property
     def delta_pairing(self) -> float:
@@ -164,38 +156,46 @@ class EnergyResiduum:
 
 
 @dataclass
-class EvolutionState:
-    """Accepted solution history needed to take the next step."""
+class StepRecord:
+    """One step attempt of size tau from the last accepted record.
+
+    The record an accepted attempt returns is both the march's output and
+    the state the next step starts from; k = 0 is the rest state.
+    """
 
     k: int
     t: float
+    tau: float
     z: GapState
     s: np.ndarray  # contact-space state [d; z] of the real field u^k
     stored: float  # discrete stored energy E at step k
-    y_warm: np.ndarray = None
+    op: SteklovOperator
+    y: np.ndarray = None  # QP iterate, the next step's warm start
+    residuum: EnergyResiduum = None
+    qp_iterations: int = 0
+    s_fict: np.ndarray = None  # state [d~; w] of the fictitious field v^k
+    p_t: np.ndarray = None
+    p_n: np.ndarray = None
+    slip: np.ndarray = None  # nodal slip flags against the input state
 
     @classmethod
-    def initial(cls, im) -> "EvolutionState":
-        z = GapState.rest(im.pair.n_master_nodes)
-        s = np.zeros(im.R_known.shape[1] + im.W.shape[1])
-        return cls(k=0, t=0.0, z=z, s=s, stored=0.0)
+    def initial(cls, op: SteklovOperator) -> "StepRecord":
+        z = GapState.rest(op.im.pair.n_master_nodes)
+        return cls(k=0, t=0.0, tau=0.0, z=z, s=np.zeros(op.n_known + op.n_w),
+                   stored=0.0, op=op)
 
-
-@dataclass
-class StepResult:
-    state: EvolutionState
-    residuum: EnergyResiduum
-    s: np.ndarray  # contact-space state [d~; w] of the fictitious field v^k
-    qp_iterations: int
+    @property
+    def u(self) -> list:
+        """Per-domain nodal displacement traces, rebuilt on demand."""
+        return self.op.traces(self.s).v
 
 
 def step(op: SteklovOperator, law: ContactLaw, chi: float, data: KnownData,
-         state: EvolutionState, tau: float,
-         qp_rtol: float = 1e-8) -> StepResult:
-    """One semi-implicit step of size tau from the given accepted state.
+         state: StepRecord, tau: float, qp_rtol: float = 1e-8) -> StepRecord:
+    """One semi-implicit step of size tau from the given accepted record.
 
     Only load-dependent work happens here, all of it on the contact space:
-    the step's data vector, the QP vectors, MPRGP and the energy forms.
+    the step's data vector, the QP vectors, MPRGP, energy forms, tractions.
     """
     pair, M, Q = op.im.pair, op.M, op.Q
     t_k = state.t + tau
@@ -204,7 +204,7 @@ def step(op: SteklovOperator, law: ContactLaw, chi: float, data: KnownData,
     d_old = np.where(data.dirichlet, data.at(t_k - tau), d_now)
     d_tilde, = modified_dirichlet([d_now], [d_old], tau, chi)
     qp = build_qp(op, d_tilde, law, tau, chi, state.z)
-    qsol = mprgp_solve(qp, y0=state.y_warm, rtol=qp_rtol)
+    qsol = mprgp_solve(qp, y0=state.y, rtol=qp_rtol)
     _, beta, w_t, w_n = y_to_awb(qsol.y)
     # at nodes with zero friction weight the slip magnitude is indeterminate
     # (flat objective direction); snap it to its tight value so the stored
@@ -218,19 +218,20 @@ def step(op: SteklovOperator, law: ContactLaw, chi: float, data: KnownData,
     lam = tau / (tau + chi)
     beta_c = np.maximum(0.0, -(1.0 + chi / tau) * state.z.z_n)
     y_comp = awb_to_y(np.zeros_like(alpha), beta_c, state.z.z_t, state.z.z_n)
-    gap = lam * (qp.objective(y_comp) - qp.objective(y_tight))
+    delta = lam * (qp.objective(y_comp) - qp.objective(y_tight))
 
-    s_tilde = np.concatenate([d_tilde, frame_join(pair, w_t, w_n)])
+    s_fict = np.concatenate([d_tilde, frame_join(pair, w_t, w_n)])
     z_new = GapState(z_t=lam * w_t + (1 - lam) * state.z.z_t,
                      z_n=lam * w_n + (1 - lam) * state.z.z_n)
-    s_new = lam * s_tilde + (1 - lam) * state.s
+    s_new = lam * s_fict + (1 - lam) * state.s
     ds = s_new - state.s
+    dz_t = np.abs(z_new.z_t - state.z.z_t)
 
     beta_new = z_new.beta_prev()
     stored_new = 0.5 * float(s_new @ (Q @ s_new)
                              + law.k_g * beta_new @ (M @ beta_new))
     beta_prev = state.z.beta_prev()
-    r1 = law.mu * law.k_g * beta_prev @ (M @ np.abs(z_new.z_t - state.z.z_t))
+    r1 = law.mu * law.k_g * beta_prev @ (M @ dz_t)
     visc = (chi / tau) * float(ds @ (Q @ ds))
 
     # lift increment: glued-interface equilibrium field with the Dirichlet
@@ -246,15 +247,19 @@ def step(op: SteklovOperator, law: ContactLaw, chi: float, data: KnownData,
 
     res = EnergyResiduum(r1=r1, visc=visc, stored_new=stored_new,
                          stored_old=state.stored, work_mixed=work_mixed,
-                         work_lift=work_lift, work_ext=work_ext, gap=gap)
-    new_state = EvolutionState(k=state.k + 1, t=t_k, z=z_new, s=s_new,
-                               stored=stored_new, y_warm=y_tight)
-    return StepResult(state=new_state, residuum=res, s=s_tilde,
-                      qp_iterations=qsol.iterations)
+                         work_lift=work_lift, work_ext=work_ext, delta=delta)
+    p_t, p_n = contact_tractions(op, s_fict)
+    return StepRecord(k=state.k + 1, t=t_k, tau=tau, z=z_new, s=s_new,
+                      stored=stored_new, op=op, y=y_tight, residuum=res,
+                      qp_iterations=qsol.iterations, s_fict=s_fict,
+                      p_t=p_t, p_n=p_n, slip=dz_t > 1e-10)
+
+
+GROW_FACTOR = 0.1  # a step whose delta is below this share of eps doubles
 
 
 def adapt_tau(res: EnergyResiduum, eps: float, tau: float, tau_min: float,
-              tau_max: float, grow_factor: float = 0.1):
+              tau_max: float):
     """Accept/reject rule on the energy residuum; returns (accept, new tau)."""
     if not eps > 0.0:
         raise EvolveError(f"residual tolerance must be positive: {eps}")
@@ -263,7 +268,7 @@ def adapt_tau(res: EnergyResiduum, eps: float, tau: float, tau_min: float,
             # cannot refine further: accept; deltaE > eps shows in the log
             return True, tau_min
         return False, max(0.5 * tau, tau_min)
-    if res.delta < grow_factor * eps:
+    if res.delta < GROW_FACTOR * eps:
         return True, min(2.0 * tau, tau_max)
     return True, tau
 
@@ -281,28 +286,6 @@ def contact_tractions(op: SteklovOperator, s: np.ndarray):
     return frame_split(op.im.pair, op.traction @ s)
 
 
-@dataclass
-class StepRecord:
-    k: int
-    t: float
-    tau: float
-    z: GapState
-    p_t: np.ndarray
-    p_n: np.ndarray
-    slip: np.ndarray  # nodal slip flags
-    residuum: EnergyResiduum
-    qp_iterations: int
-    stored: float
-    s: np.ndarray  # contact-space state of the real field u^k
-    op: SteklovOperator
-    y: np.ndarray = None  # transformed optimizer state of the step
-
-    @property
-    def u(self) -> list:
-        """Per-domain nodal displacement traces, rebuilt on demand."""
-        return self.op.traces(self.s).v
-
-
 def run(im, law: ContactLaw, chi: float, loads: LoadProgram, *, t_end: float,
         tau: float, tau_min: float = None, tau_max: float = None,
         eps: float = None, qp_rtol: float = 1e-8, on_step=None) -> list:
@@ -312,35 +295,24 @@ def run(im, law: ContactLaw, chi: float, loads: LoadProgram, *, t_end: float,
     with each accepted StepRecord (streaming output).  Rejections halve the
     step and a step at tau_min is always accepted, so the march cannot stall.
     """
-    if tau_min is None:
-        tau_min = tau
-    if tau_max is None:
-        tau_max = tau
+    tau_min = tau if tau_min is None else tau_min
+    tau_max = tau if tau_max is None else tau_max
     op = SteklovOperator(im)
     data = loads.known(im)
-    state = EvolutionState.initial(im)
+    rec = StepRecord.initial(op)
     records = []
-    while state.t < t_end - 1e-12 * t_end:
-        tau_k = min(tau, t_end - state.t)
+    while rec.t < t_end - 1e-12 * t_end:
+        tau_k = min(tau, t_end - rec.t)
         try:
-            result = step(op, law, chi, data, state, tau_k, qp_rtol=qp_rtol)
+            attempt = step(op, law, chi, data, rec, tau_k, qp_rtol=qp_rtol)
         except QPError as exc:
-            raise EvolveError(f"QP failed at t={state.t + tau_k:.6g}: {exc}")
+            raise EvolveError(f"QP failed at t={rec.t + tau_k:.6g}: {exc}")
         if eps is not None:
-            accept, tau = adapt_tau(result.residuum, eps, tau_k, tau_min,
+            accept, tau = adapt_tau(attempt.residuum, eps, tau_k, tau_min,
                                     tau_max)
             if not accept:
                 continue
-        state = result.state
-        p_t, p_n = contact_tractions(op, result.s)
-        prev_zt = records[-1].z.z_t if records else np.zeros_like(p_t)
-        slip = np.abs(state.z.z_t - prev_zt) > 1e-10
-        rec = StepRecord(k=state.k, t=state.t, tau=tau_k, z=state.z,
-                         p_t=p_t, p_n=p_n, slip=slip,
-                         residuum=result.residuum,
-                         qp_iterations=result.qp_iterations,
-                         stored=state.stored, s=state.s, op=op,
-                         y=state.y_warm)
+        rec = attempt
         records.append(rec)
         if on_step is not None:
             on_step(rec)

@@ -273,7 +273,6 @@ class ContactPair:
     elements_B: np.ndarray
     # (element index on A, element index on B, s0, s1) in master arclength
     overlap_map: list = field(default_factory=list)
-    master: str = "B"
     # master-arclength of each contact element's start/end node (signed span)
     span_A: dict = field(default_factory=dict)
     span_B: dict = field(default_factory=dict)
@@ -310,7 +309,10 @@ def _contact_chain(mesh: BoundaryMesh):
     return np.array(idx, dtype=np.int64)
 
 
-def pair_contacts(mesh_A: BoundaryMesh, mesh_B: BoundaryMesh, tol: float = 1e-9) -> ContactPair:
+PAIR_TOL = 1e-9  # relative distance at which the two contact traces match
+
+
+def pair_contacts(mesh_A: BoundaryMesh, mesh_B: BoundaryMesh) -> ContactPair:
     """Match the two contact traces; non-matching subdivisions allowed."""
     chain_A = _contact_chain(mesh_A)
     chain_B = _contact_chain(mesh_B)
@@ -323,6 +325,7 @@ def pair_contacts(mesh_A: BoundaryMesh, mesh_B: BoundaryMesh, tol: float = 1e-9)
     seg_len = np.linalg.norm(np.diff(pts_B, axis=0), axis=1)
     s_B = np.concatenate([[0.0], np.cumsum(seg_len)])
     total = s_B[-1]
+    span_tol = PAIR_TOL * max(1.0, total)
 
     def param_of(p):
         """Arclength of point p on B's chain; error if off the chain."""
@@ -337,7 +340,7 @@ def pair_contacts(mesh_A: BoundaryMesh, mesh_B: BoundaryMesh, tol: float = 1e-9)
             s = s_B[k] + t * np.sqrt(L2)
             if best is None or dist < best[0]:
                 best = (dist, s)
-        if best[0] > tol * max(1.0, total):
+        if best[0] > span_tol:
             raise MeshError("contact traces diverge beyond tolerance")
         return best[1]
 
@@ -361,15 +364,15 @@ def pair_contacts(mesh_A: BoundaryMesh, mesh_B: BoundaryMesh, tol: float = 1e-9)
 
     lo_A, hi_A = iv_A[0][0], iv_A[-1][1]
     lo_B, hi_B = iv_B[0][0], iv_B[-1][1]
-    if abs(lo_A - lo_B) > tol * max(1.0, total) or abs(hi_A - hi_B) > tol * max(1.0, total):
+    if abs(lo_A - lo_B) > span_tol or abs(hi_A - hi_B) > span_tol:
         raise MeshError("contact traces do not cover the same curve")
 
     breaks = sorted(set([round(x, 12) for x, _, _ in iv_A + iv_B] + [round(hi_A, 12)]))
     overlap = []
     for s0, s1 in zip(breaks[:-1], breaks[1:]):
         mid = 0.5 * (s0 + s1)
-        ea = next(e for a0, a1, e in iv_A if a0 - tol <= mid <= a1 + tol)
-        eb = next(e for a0, a1, e in iv_B if a0 - tol <= mid <= a1 + tol)
+        ea = next(e for a0, a1, e in iv_A if a0 - PAIR_TOL <= mid <= a1 + PAIR_TOL)
+        eb = next(e for a0, a1, e in iv_B if a0 - PAIR_TOL <= mid <= a1 + PAIR_TOL)
         overlap.append((ea, eb, s0, s1))
     covered = sum(s1 - s0 for _, _, s0, s1 in overlap)
     if abs(covered - total) > 1e-12 * max(1.0, total):

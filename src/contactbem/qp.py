@@ -125,13 +125,15 @@ def _norm(v: np.ndarray) -> float:
     return math.sqrt(v.dot(v))
 
 
-def estimate_norm(A: np.ndarray, iters: int = 20, seed: int = 0) -> float:
-    """Operator-norm estimate by power iteration (A symmetric PSD)."""
-    rng = np.random.default_rng(seed)
-    v = rng.normal(size=len(A))
+POWER_ITERATIONS = 20
+
+
+def estimate_norm(A: np.ndarray) -> float:
+    """Operator-norm estimate by power iteration (A symmetric PSD), seeded."""
+    v = np.random.default_rng(0).normal(size=len(A))
     v /= _norm(v)
     lam = 0.0
-    for _ in range(iters):
+    for _ in range(POWER_ITERATIONS):
         av = A @ v
         lam = float(v @ av)
         nrm = _norm(av)

@@ -3,6 +3,8 @@ import copy
 import numpy as np
 import pytest
 import yaml
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
 
 from contactbem import cli
 from contactbem.assembly import AssemblyError
@@ -16,6 +18,7 @@ from contactbem.cli import (
 )
 from contactbem.contact import ContactError
 from contactbem.kernels import KernelError
+from contactbem.mesh import MeshError
 from contactbem.steklov import SteklovError
 
 
@@ -90,6 +93,13 @@ def test_unparsable_yaml_rejected():
         parse_scenario("foo: [unclosed")
     with pytest.raises(ConfigError, match="mapping"):
         parse_scenario("- just\n- a list\n")
+
+
+def test_unknown_keys_of_mixed_types_rejected():
+    doc = tiny_scenario()
+    doc.update({1: 0, "bogus": 0})  # YAML allows integer keys
+    with pytest.raises(ConfigError, match=r"unknown keys \[1, 'bogus'\]"):
+        parse_scenario(doc)
 
 
 def test_neumann_load_lands_on_requested_segment():
@@ -184,6 +194,10 @@ def test_main_export_prints_resolved_preset(capsys):
     doc = yaml.safe_load(out)
     assert doc["name"] == "skewed"
     assert parse_scenario(doc).solver.eps == pytest.approx(1e-3)
+    # --eps alone makes a fixed-step preset adaptive
+    assert main(["run", "--preset", "conforming", "--eps", "0.5",
+                 "--export"]) == 0
+    assert yaml.safe_load(capsys.readouterr().out)["solver"]["eps"] == 0.5
 
 
 def test_main_exit_codes(tmp_path, capsys):
@@ -191,7 +205,7 @@ def test_main_exit_codes(tmp_path, capsys):
     bad.write_text("name: broken\n")
     assert main(["run", str(bad)]) == 2
     assert main(["run", str(tmp_path / "missing.yaml")]) == 2
-    assert main(["run", "--preset", "skewed", "--eps", "1.0"]) == 2  # no --adaptive
+    assert main(["run", "--preset", "skewed", "--eps", "0"]) == 2
     assert main(["run"]) == 2
     capsys.readouterr()
 
@@ -277,3 +291,134 @@ def test_main_maps_library_errors_to_exit_3(error, tmp_path, capsys, monkeypatch
     path.write_text(yaml.safe_dump(tiny_scenario()))
     assert main(["run", str(path), "--out", str(tmp_path / "out")]) == 3
     assert capsys.readouterr().err == "solver failure: broken\n"
+
+
+# malformed nodes of the exported conforming preset: (path, value, message)
+MALFORMED_NODES = [
+    (("contact",), "abc", "contact: expected a mapping"),
+    (("contact",), [1, 2], "contact: expected a mapping"),
+    (("solver",), [1], "solver: expected a mapping"),
+    (("domains", 0), "abc", "domains[0]: expected a mapping"),
+    (("domains", 0, "parts", 0), "C", "domains[0].parts[0]: expected a mapping"),
+    (("domains", 0, "parts"), 3, "domains[0].parts: expected a list"),
+    (("domains", 0, "parts", 0, "n"), 2.5,
+     "domains[0].parts[0].n: expected an integer"),
+    (("domains", 1, "polyline", 2), [1],
+     "domains[1].polyline[2]: expected [x, y]"),
+    (("loads", "neumann"), 5, "loads.neumann: expected a list"),
+    (("loads", "neumann", 0, "traction"), "x",
+     "loads.neumann[0].traction: expected a list"),
+    (("loads", "neumann", 0, "traction"), [[0, 0], [1]],
+     "loads.neumann[0].traction[1]: expected [x, y]"),
+    (("loads", "neumann", 0, "domain"), 0.5,
+     "loads.neumann[0].domain: expected an integer"),
+    (("loads", "dirichlet", 0, "segment"), 5.0,
+     "loads.dirichlet[0].segment: expected an integer"),
+]
+
+
+def _exported(name):
+    return scenario_to_dict(parse_scenario(PRESETS[name]()))
+
+
+def _node_at(doc, path):
+    for key in path:
+        doc = doc[key]
+    return doc
+
+
+def _mutated(doc, path, value=None, drop=False):
+    doc = copy.deepcopy(doc)
+    node = _node_at(doc, path[:-1])
+    if drop:
+        del node[path[-1]]
+    else:
+        node[path[-1]] = value
+    return doc
+
+
+@pytest.mark.parametrize("path,value,match", MALFORMED_NODES)
+def test_main_malformed_node_exits_2(path, value, match, tmp_path, capsys):
+    """A node of the wrong type is a config error naming its key path, not
+    a traceback."""
+    doc = _mutated(_exported("conforming"), path, value)
+    yaml_path = tmp_path / "bad.yaml"
+    yaml_path.write_text(yaml.safe_dump(doc))
+    assert main(["run", str(yaml_path), "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err.strip()
+    assert match in err
+    assert "\n" not in err
+
+
+def _node_paths(node, path=()):
+    yield path
+    items = (node.items() if isinstance(node, dict)
+             else enumerate(node) if isinstance(node, list) else ())
+    for key, child in items:
+        yield from _node_paths(child, path + (key,))
+
+
+FUZZ_DOCS = {"tiny": tiny_scenario(),
+             **{name: _exported(name) for name in PRESETS}}
+# one node of each type the schema may meet
+ANY_TYPE = st.one_of(st.text(max_size=3), st.integers(-3, 3), st.floats(),
+                     st.booleans(), st.none(),
+                     st.lists(st.integers(-1, 2), max_size=3),
+                     st.dictionaries(st.sampled_from(["n", "x"]),
+                                     st.integers(0, 2), max_size=2))
+# beyond every bound of the schema, or beyond a float's range
+OUT_OF_RANGE = st.sampled_from([-1e300, -1, 0, 1e300, 10**400, 0.5 - 1e-13,
+                                float("nan"), float("inf"), -float("inf")])
+# main's exit-3 failures; a scenario that parses may still be unsolvable
+SOLVER_ERRORS = (KernelError, AssemblyError, SteklovError, ContactError)
+MAX_FUZZ_ELEMENTS = 64  # larger counts are a resource limit, not built here
+
+
+@st.composite
+def schema_cases(draw):
+    """(document, mutation kind, node path, new value) of a mutated preset."""
+    base = draw(st.sampled_from(sorted(FUZZ_DOCS)))
+    paths = list(_node_paths(FUZZ_DOCS[base]))[1:]
+    kind = draw(st.sampled_from(["drop", "add", "swap", "range"]))
+    if kind == "drop":
+        path = draw(st.sampled_from([p for p in paths if isinstance(p[-1], str)]))
+        return base, kind, path, None
+    if kind == "add":
+        parents = [p for p in [()] + paths
+                   if isinstance(_node_at(FUZZ_DOCS[base], p), dict)]
+        return base, kind, draw(st.sampled_from(parents)) + ("bogus",), 1
+    if kind == "swap":
+        return base, kind, draw(st.sampled_from(paths)), draw(ANY_TYPE)
+    numbers = [p for p in paths
+               if type(_node_at(FUZZ_DOCS[base], p)) in (int, float)]
+    return base, kind, draw(st.sampled_from(numbers)), draw(OUT_OF_RANGE)
+
+
+def _fuzz_schema(case):
+    """A mutated preset either parses to a Scenario or raises ConfigError or
+    MeshError naming the mutated key; the tiny scenario that parses also
+    builds, or fails with an error that main maps to exit 2 or 3."""
+    base, kind, path, value = case
+    doc = _mutated(FUZZ_DOCS[base], path, value, drop=kind == "drop")
+    key = [k for k in path if isinstance(k, str)][-1]
+    try:
+        sc = parse_scenario(doc)
+    except (ConfigError, MeshError) as exc:
+        assert key in str(exc)
+        return
+    assert isinstance(sc, cli.Scenario)
+    counts = [p["n"] for d in sc.domains for p in d.parts]
+    if base == "tiny" and max(counts) <= MAX_FUZZ_ELEMENTS:
+        try:
+            build_system(sc)
+        except (ConfigError, MeshError, *SOLVER_ERRORS):
+            pass
+
+
+for _path, _value, _ in MALFORMED_NODES:
+    _fuzz_schema = example(case=("conforming", "swap", _path, _value))(
+        _fuzz_schema)
+test_fuzz_schema = settings(
+    max_examples=300, deadline=None,
+    suppress_health_check=[HealthCheck.too_slow])(
+    given(case=schema_cases())(_fuzz_schema))

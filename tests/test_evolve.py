@@ -12,8 +12,8 @@ from contactbem.contact import ContactLaw, GapState, contact_mass, frame_split
 from contactbem.evolve import (
     EnergyResiduum,
     EvolveError,
-    EvolutionState,
     LoadProgram,
+    StepRecord,
     adapt_tau,
     contact_tractions,
     modified_dirichlet,
@@ -103,7 +103,7 @@ def test_adapt_tau_rules():
     def res(delta):
         return EnergyResiduum(r1=0, visc=0, stored_new=0, stored_old=0,
                               work_mixed=0, work_lift=0, work_ext=0,
-                              gap=delta)
+                              delta=delta)
     eps = 1.0
     assert adapt_tau(res(1.5), eps, 1e-3, 1e-6, 1e-2) == (False, 0.5e-3)
     assert adapt_tau(res(0.05), eps, 1e-3, 1e-6, 1e-2) == (True, 2e-3)
@@ -158,29 +158,29 @@ def test_gap_recursion_exact():
     lp = pressure_ramp(im, -0.5, t_ramp=5e-3, t_end=1e-2)
     chi, tau = 1e-3, 1e-3
     op = SteklovOperator(im)
-    state = EvolutionState.initial(im)
+    state = StepRecord.initial(op)
     for _ in range(3):
         result = step(op, LAW, chi, lp.known(im), state, tau)
         # reconstruct w from the recursion and re-apply it
         lam = tau / (tau + chi)
-        w_t = (result.state.z.z_t - (1 - lam) * state.z.z_t) / lam
+        w_t = (result.z.z_t - (1 - lam) * state.z.z_t) / lam
         z_re = lam * w_t + (1 - lam) * state.z.z_t
-        err = np.abs(z_re - result.state.z.z_t)
-        assert err.max() <= 1e-14 * (np.abs(result.state.z.z_t).max() + 1e-30)
-        state = result.state
+        err = np.abs(z_re - result.z.z_t)
+        assert err.max() <= 1e-14 * (np.abs(result.z.z_t).max() + 1e-30)
+        state = result
 
 
 def test_chi_zero_degenerate_recursion():
     pair, im = stacked_system()
     lp = pressure_ramp(im, -0.5, t_ramp=5e-3, t_end=1e-2)
-    state = EvolutionState.initial(im)
     op = SteklovOperator(im)
+    state = StepRecord.initial(op)
     result = step(op, LAW, chi=0.0, data=lp.known(im), state=state,
                   tau=1e-3)
     # z^k = w^k when chi = 0: the fictitious trace is the real one
     wcols = _master_w_columns(pair)
-    w_master = op.traces(result.s).v[1][wcols]
-    assert np.allclose(op.traces(result.state.s).v[1][wcols], w_master,
+    w_master = op.traces(result.s_fict).v[1][wcols]
+    assert np.allclose(op.traces(result.s).v[1][wcols], w_master,
                        atol=1e-14)
 
 
@@ -256,11 +256,11 @@ def test_no_load_independent_rebuild_per_step(monkeypatch):
     for module in (assembly, evolve, steklov):
         counted(module, "solve_tbvp")
     counted(InfluenceMatrices, "solve")
-    state = EvolutionState.initial(im)
+    state = StepRecord.initial(op)
     data = lp.known(im)
     Mg, im.Mg = im.Mg, None  # a step that pairs through Mg fails
     for _ in range(4):
-        state = step(op, LAW, 1e-3, data, state, 1e-3).state
+        state = step(op, LAW, 1e-3, data, state, 1e-3)
     assert state.k == 4 and np.any(state.s)
     im.Mg = Mg
     assert calls == dict.fromkeys(calls, 0)
@@ -289,6 +289,52 @@ def test_adaptive_run_respects_epsilon():
     # times strictly increasing
     ts = [r.t for r in recs]
     assert all(b > a for a, b in zip(ts, ts[1:]))
+
+
+def test_run_keeps_the_record_step_returns(monkeypatch):
+    """step returns one record per attempt, rejected ones included; run
+    keeps the accepted ones as they are, and each starts the next step.
+    Slip flags compare with the previous kept record (rest before the
+    first) and tractions are those of the record's fictitious state."""
+    from contactbem import evolve
+
+    pair, im = stacked_system(top_tag="D")
+    g1 = np.zeros(2 * pair.mesh_A.n_nodes)
+    g1[0::2], g1[1::2] = 1e-3, -5e-4  # press down and drag sideways
+    lp = LoadProgram(times=[0.0, 5e-3, 1e-2],
+                     g_D=[np.stack([0 * g1, g1, g1]), None], f_N=[None, None])
+    law, eps = ContactLaw(mu=0.2, k_g=4e5), 1e-7
+    inputs, attempts = [], []
+    step_ = evolve.step
+
+    def recorded(*args, **kwargs):
+        inputs.append(args[4])
+        attempts.append(step_(*args, **kwargs))
+        return attempts[-1]
+
+    monkeypatch.setattr(evolve, "step", recorded)
+    recs = run(im, law, chi=1e-3, loads=lp, t_end=1e-2, tau=1e-3,
+               tau_min=1e-6, tau_max=2e-3, eps=eps)
+    assert all(isinstance(a, StepRecord) for a in attempts)
+    kept = [any(a is r for r in recs) for a in attempts]
+    accepted = [a for a, k in zip(attempts, kept) if k]
+    assert len(accepted) == len(recs)
+    assert all(r is a for r, a in zip(recs, accepted))
+    rejected = [a for a, k in zip(attempts, kept) if not k]
+    assert rejected and all(a.residuum.delta > eps for a in rejected)
+    prev = inputs[0]
+    assert prev.k == 0 and not np.any(prev.z.z_t)
+    for a, state, k in zip(attempts, inputs, kept):
+        assert state is prev and a.k == state.k + 1
+        prev = a if k else prev
+    op, prev_zt = recs[0].op, np.zeros(pair.n_master_nodes)
+    for rec in recs:
+        assert np.array_equal(rec.slip, np.abs(rec.z.z_t - prev_zt) > 1e-10)
+        p_t, p_n = contact_tractions(op, rec.s_fict)
+        assert np.array_equal(rec.p_t, p_t) and np.array_equal(rec.p_n, p_n)
+        prev_zt = rec.z.z_t
+    slips = [bool(rec.slip.any()) for rec in recs]
+    assert any(slips) and not all(slips)  # the run both slides and sticks
 
 
 def test_qp_norm_estimated_once_per_step_size(monkeypatch):
@@ -357,7 +403,7 @@ def test_contact_space_step_matches_full_solves():
     op = SteklovOperator(im)
     data = lp.known(im)
     M, W, nk = op.M, im.W, op.n_known
-    state = EvolutionState.initial(im)
+    state = StepRecord.initial(op)
     u = [np.zeros(2 * dd.n_psi) for dd in im.layout.domains]
     pu = [np.zeros(2 * dd.n_phi) for dd in im.layout.domains]
 
@@ -380,20 +426,20 @@ def test_contact_space_step_matches_full_solves():
         close(qp.c, op.potential(offset), abs(op.potential(offset)))
 
         result = step(op, LAW, chi, data, state, tau)
-        close(result.s[:nk], d, np.abs(d).max())
-        sol = op.solve(result.s[nk:], g_til, f_k)
+        close(result.s_fict[:nk], d, np.abs(d).max())
+        sol = op.solve(result.s_fict[nk:], g_til, f_k)
         force = W.T @ sol.x
-        close(op.G @ result.s, force, np.abs(force).max())
+        close(op.G @ result.s_fict, force, np.abs(force).max())
         p_xy = np.linalg.solve(M, force.reshape(-1, 2)).ravel()
         p_ref = frame_split(pair, p_xy)
-        close(contact_tractions(op, result.s), p_ref, np.abs(p_xy).max())
+        close((result.p_t, result.p_n), p_ref, np.abs(p_xy).max())
 
         lam = tau / (tau + chi)
         u_new = [lam * v + (1 - lam) * a for v, a in zip(sol.v, u)]
         pu_new = [lam * p + (1 - lam) * q for p, q in zip(sol.p, pu)]
         du = [a - b for a, b in zip(u_new, u)]
         dp = [a - b for a, b in zip(pu_new, pu)]
-        z, z_old = result.state.z, state.z
+        z, z_old = result.z, state.z
         beta = z.beta_prev()
         dg = [None if gn is None else gn - go
               for gn, go in zip(g_now, lp.g_at(state.t))]
@@ -414,7 +460,7 @@ def test_contact_space_step_matches_full_solves():
         for name, value in ref.items():
             close(getattr(result.residuum, name), value, scale)
         close(result.residuum.stored_old, state.stored, scale)
-        traces = op.traces(result.state.s)
+        traces = op.traces(result.s)
         for got, want in zip(traces.p + traces.v, pu_new + u_new):
             close(got, want, np.abs(want).max() + 1e-30)
-        state, u, pu = result.state, u_new, pu_new
+        state, u, pu = result, u_new, pu_new

@@ -178,35 +178,50 @@ def test_coincident_U_against_duffy_oracle():
             assert got[2 * m + 0, 2 * n + 0] == pytest.approx(ref_diag, rel=1e-9)
 
 
+def _adjacent_U_oracle(e0, e1, mat, order, levels=40, ratio=0.15):
+    """U block of the pair (x = p1 - a e0, y = p1 + b e1) that shares the
+    vertex p1 at a = b = 0: tensor Gauss-Legendre of the given order on
+    cells graded geometrically toward the vertex in both parameters, with
+    the Kelvin formula evaluated on r = a e0 + b e1, exact near the vertex."""
+    breaks = np.concatenate([[0.0], ratio ** np.arange(levels, -1, -1.0)])
+    g, gw = np.polynomial.legendre.leggauss(order)
+    h = np.diff(breaks)[:, None]
+    a = (breaks[:-1, None] + 0.5 * h * (g + 1.0)).ravel()
+    w = (0.5 * h * gw).ravel()
+    A, B = a[:, None], a[None, :]  # a along element 0, b along element 1
+    r1, r2 = A * e0[0] + B * e1[0], A * e0[1] + B * e1[1]
+    r = np.hypot(r1, r2)
+    G, nu = mat.shear_modulus, mat.poisson_ratio
+    c = 1.0 / (8.0 * np.pi * G * (1.0 - nu))
+    log_term = -(3.0 - 4.0 * nu) * np.log(r)
+    U = {(0, 0): log_term + (r1 / r) ** 2, (1, 1): log_term + (r2 / r) ** 2,
+         (0, 1): r1 * r2 / r**2}
+    U[1, 0] = U[0, 1]
+    # shape functions: element 0 runs from its free end (a = 1) to p1,
+    # element 1 from p1 to its free end (b = 1)
+    shp0 = np.stack([a, 1.0 - a], axis=1)
+    shp1 = np.stack([1.0 - a, a], axis=1)
+    L0, L1 = np.hypot(*e0), np.hypot(*e1)
+    ref = np.zeros((4, 4))
+    for (k, l), Ukl in U.items():
+        ref[k::2, l::2] = shp0.T @ (w[:, None] * c * Ukl * w[None, :]) @ shp1
+    return ref * L0 * L1
+
+
 def test_adjacent_U_against_subdivided_oracle():
-    """Adjacent singular pair vs a graded-subdivision oracle."""
+    """Adjacent singular pair against an independent oracle: tensor-product
+    Gauss-Legendre on cells graded toward the shared vertex, converged in
+    its order."""
     mesh = _two_element_mesh((0, 0), (3, 0), (3 + 2 * np.cos(0.7), 2 * np.sin(0.7)), (9, 6))
     got = galerkin_integral(mesh, 0, 1, "U", MAT)
-    # oracle: split the trial element geometrically toward the shared node and
-    # use the separated-pair adaptive oracle on each piece
-    ai, bi = mesh.elements[0]
-    ref = np.zeros((4, 4))
-    aj, bj = mesh.elements[1]
-    q0, q1 = mesh.nodes[aj].copy(), mesh.nodes[bj].copy()
-    fr = np.concatenate([[0.0], np.geomspace(1e-10, 1.0, 60)])
-    for f0, f1 in zip(fr[:-1], fr[1:]):
-        a = q0 + f0 * (q1 - q0)
-        b = q0 + f1 * (q1 - q0)
-        for m in range(2):
-            for n in range(2):
-                for k in range(2):
-                    for l in range(2):
-                        def f(t, s, m=m, n=n, k=k, l=l):
-                            x = mesh.nodes[ai] + s * (mesh.nodes[bi] - mesh.nodes[ai])
-                            y = a + t * (b - a)
-                            tt = f0 + t * (f1 - f0)  # full-element fraction
-                            shp = (1 - s if m == 0 else s) * (1 - tt if n == 0 else tt)
-                            return shp * kelvin_U(x, y, MAT)[k, l]
-                        val, _ = integrate.dblquad(f, 0, 1, 0, 1, epsabs=1e-13, epsrel=1e-11)
-                        Lsub = np.linalg.norm(b - a)
-                        Li = np.linalg.norm(mesh.nodes[bi] - mesh.nodes[ai])
-                        ref[2 * m + k, 2 * n + l] += val * Li * Lsub
+    (a0, a1), (b0, b1) = mesh.elements[0], mesh.elements[1]
+    assert a1 == b0  # the shared vertex ends element 0 and starts element 1
+    e0 = mesh.nodes[a1] - mesh.nodes[a0]
+    e1 = mesh.nodes[b1] - mesh.nodes[b0]
+    ref12 = _adjacent_U_oracle(e0, e1, MAT, order=12)
+    ref = _adjacent_U_oracle(e0, e1, MAT, order=16)
     scale = np.abs(ref).max()
+    assert np.abs(ref12 - ref).max() <= 1e-10 * scale
     assert np.abs(got - ref).max() <= 1e-8 * scale
 
 

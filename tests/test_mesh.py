@@ -177,7 +177,6 @@ def test_pair_contacts_matching():
     assert len(pair.overlap_map) == 10
     total = sum(s1 - s0 for _, _, s0, s1 in pair.overlap_map)
     assert total == pytest.approx(1.0, abs=1e-12)
-    assert pair.master == "B"
 
 
 def test_pair_contacts_split_refinement():

@@ -20,7 +20,6 @@ import hashlib
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import get_lapack_funcs
 
 from .kernels import all_pair_blocks
 from .mesh import (
@@ -253,33 +252,24 @@ class InfluenceMatrices:
     W: np.ndarray  # maps gap data w to the load vector
     Mg: list = None  # per-domain phi x psi mass
     asymmetry: float = 0.0
-    _factor: tuple = None
+    K_sym: np.ndarray = None  # 0.5 (K + K^T), set by factorize
     K_inf: float = field(init=False)  # |K|_inf, the scale of check_residual
 
     def __post_init__(self):
         self.K_inf = np.linalg.norm(self.K, ord=np.inf)
 
     def factorize(self):
-        Ks = 0.5 * (self.K + self.K.T)
-        sytrf, = get_lapack_funcs(("sytrf",), (Ks,))
-        ldu, ipiv, info = sytrf(Ks, lower=1)
-        if info > 0:
-            raise AssemblyError(
-                f"singular assembled matrix (zero pivot at {info}, "
-                f"smallest pivot {np.abs(np.diag(ldu)).min():.3e})"
-            )
-        self._factor = (ldu, ipiv)
+        self.K_sym = 0.5 * (self.K + self.K.T)
         return self
 
     def solve(self, rhs: np.ndarray) -> np.ndarray:
-        if self._factor is None:
+        if self.K_sym is None:
             raise AssemblyError("factorization unavailable")
-        ldu, ipiv = self._factor
-        sytrs, = get_lapack_funcs(("sytrs",), (ldu,))
-        x, info = sytrs(ldu, ipiv, rhs, lower=1)
-        if info != 0:
-            raise AssemblyError("backsolve failed")
-        return x
+        try:
+            return np.linalg.solve(self.K_sym, rhs)
+        except np.linalg.LinAlgError:
+            raise AssemblyError("singular assembled matrix (zero pivot in "
+                                "the LU factorization)") from None
 
 
 def assemble(meshes, pair: ContactPair, mats) -> InfluenceMatrices:

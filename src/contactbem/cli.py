@@ -37,6 +37,13 @@ class ConfigError(ValueError):
     pass
 
 
+# Elements per domain.  Set-up holds dense pair blocks and system matrices,
+# O(m^2) in a domain's m elements: about 1 kB per element pair (313 MB peak
+# RSS for the receding preset at refine 80, 288 + 448 elements), so two
+# domains at the cap need about 2 GB.  receding at refine 40 has 224.
+MAX_ELEMENTS = 1000
+
+
 # -- strict schema helpers ----------------------------------------------------
 
 def _take(d: dict, key, path, required=True, default=None):
@@ -52,16 +59,18 @@ def _done(d: dict, path):
         raise ConfigError(f"{path}: unknown keys {sorted(d, key=str)}")
 
 
+def _typed(v, path, kind, what):
+    if not isinstance(v, kind):
+        raise ConfigError(f"{path}: expected {what}, got {v!r}")
+    return v
+
+
 def _mapping(v, path) -> dict:
-    if not isinstance(v, dict):
-        raise ConfigError(f"{path}: expected a mapping, got {v!r}")
-    return dict(v)
+    return dict(_typed(v, path, dict, "a mapping"))
 
 
 def _list(v, path) -> list:
-    if not isinstance(v, (list, tuple)):
-        raise ConfigError(f"{path}: expected a list, got {v!r}")
-    return v
+    return _typed(v, path, (list, tuple), "a list")
 
 
 def _number(v, path, lo=None, hi=None, integer=False):
@@ -172,7 +181,7 @@ def parse_scenario(doc) -> Scenario:
     if not isinstance(doc, dict):
         raise ConfigError("scenario document must be a mapping")
     doc = dict(doc)
-    name = str(_take(doc, "name", "scenario"))
+    name = _typed(_take(doc, "name", "scenario"), "name", str, "a string")
     chi = _number(_take(doc, "chi", "scenario"), "chi", lo=0.0)
     law_raw = _mapping(_take(doc, "contact", "scenario"), "contact")
     try:
@@ -199,10 +208,16 @@ def parse_scenario(doc) -> Scenario:
         _done(mat_raw, f"{p}.material")
         poly = _points(_take(rd, "polyline", p), f"{p}.polyline")
         parts = _parse_parts(_take(rd, "parts", p), f"{p}.parts")
-        floating = bool(_take(rd, "allow_floating", p, required=False,
-                              default=False))
-        label = str(_take(rd, "label", p, required=False, default="AB"[j]))
+        floating = _typed(_take(rd, "allow_floating", p, required=False,
+                                default=False), f"{p}.allow_floating", bool,
+                          "true or false")
+        label = _typed(_take(rd, "label", p, required=False,
+                             default="AB"[j]), f"{p}.label", str, "a string")
         _done(rd, p)
+        n_elements = sum(part["n"] for part in parts)
+        if n_elements > MAX_ELEMENTS:
+            raise ConfigError(f"{p}.parts: {n_elements} elements, above the "
+                              f"cap of {MAX_ELEMENTS} per domain")
         if len(poly) != len(parts):
             raise ConfigError(f"{p}: one part per polyline segment required "
                               f"({len(parts)} parts, {len(poly)} segments)")
@@ -712,8 +727,9 @@ def _load_scenario(args) -> Scenario:
     if args.preset and args.scenario:
         raise ConfigError("give either a scenario file or --preset, not both")
     if args.preset:
-        doc = (preset_receding(args.refine) if args.preset == "receding"
-               else PRESETS[args.preset]())
+        doc = (preset_receding(_number(args.refine, "--refine", lo=1,
+                                       integer=True))
+               if args.preset == "receding" else PRESETS[args.preset]())
     elif args.scenario:
         path = Path(args.scenario)
         if not path.exists():
@@ -723,13 +739,14 @@ def _load_scenario(args) -> Scenario:
         raise ConfigError("a scenario file or --preset is required")
     sc = parse_scenario(doc)
     if args.tau is not None:
-        sc.solver.tau = args.tau
-        sc.solver.tau_min = min(sc.solver.tau_min or args.tau, args.tau)
-        sc.solver.tau_max = max(sc.solver.tau_max or args.tau, args.tau)
+        tau = sc.solver.tau = _number(args.tau, "--tau", lo=1e-15)
+        sc.solver.tau_min = min(sc.solver.tau_min or tau, tau)
+        sc.solver.tau_max = max(sc.solver.tau_max or tau, tau)
     if args.eps is not None:
         sc.solver.eps = _number(args.eps, "--eps", lo=1e-30)
     if args.plot_every is not None:
-        sc.solver.plot_every = args.plot_every
+        sc.solver.plot_every = _number(args.plot_every, "--plot-every", lo=0,
+                                       integer=True)
     return sc
 
 

@@ -110,37 +110,20 @@ def build_qp(op, d: np.ndarray, law: ContactLaw, tau: float, chi: float,
 def jacobi_scaling(A: np.ndarray):
     """(s, A_hat, norm of A_hat): s = sqrt(diag A), with tiny diagonal
     entries floored at 1e-12 of the largest (s = 1 without a positive
-    diagonal), and A_hat = S^-1 A S^-1 for S = diag(s)."""
+    diagonal), A_hat = S^-1 A S^-1 for S = diag(s), and the norm of the
+    semidefinite A_hat its largest eigenvalue, floored at 0."""
     diag = np.diag(A)
     if np.any(diag > 0):
         s = np.sqrt(np.maximum(diag, 1e-12 * diag.max()))
     else:
         s = np.ones(len(diag))
     A_hat = A / s[:, None] / s[None, :]
-    return s, A_hat, estimate_norm(A_hat)
+    return s, A_hat, max(float(np.linalg.eigvalsh(A_hat)[-1]), 0.0)
 
 
 def _norm(v: np.ndarray) -> float:
     """Euclidean norm of a real vector, as np.linalg.norm computes it."""
     return math.sqrt(v.dot(v))
-
-
-POWER_ITERATIONS = 20
-
-
-def estimate_norm(A: np.ndarray) -> float:
-    """Operator-norm estimate by power iteration (A symmetric PSD), seeded."""
-    v = np.random.default_rng(0).normal(size=len(A))
-    v /= _norm(v)
-    lam = 0.0
-    for _ in range(POWER_ITERATIONS):
-        av = A @ v
-        lam = float(v @ av)
-        nrm = _norm(av)
-        if nrm == 0.0:
-            return 0.0
-        v = av / nrm
-    return max(lam, nrm)
 
 
 def _max_feasible_step(y, d, xi):

@@ -18,7 +18,6 @@ system, and the boundary data of a step enter as the d part of s.
 from __future__ import annotations
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve
 
 from .assembly import (
     BoundarySolution,
@@ -67,8 +66,8 @@ class SteklovOperator:
         self.G = im.W.T @ self.Z
         self.H = self.hessian()
         n = pair.n_master_nodes  # M^{-1} on each xy component of G's rows
-        self.traction = cho_solve(cho_factor(self.M),
-                                  self.G.reshape(n, -1)).reshape(self.G.shape)
+        self.traction = np.linalg.solve(
+            self.M, self.G.reshape(n, -1)).reshape(self.G.shape)
         self.P = _sym(im.R_known.T @ self.Z[:, :self.n_known])
         # full-layout traces of s (scatter_solution, column by column)
         layout = im.layout

@@ -9,14 +9,18 @@ the p_n of the step with the largest |p_n|.
     PYTHONPATH=src python tests/data/make_golden_presets.py OUT.npz
 
 The committed golden_presets.npz was written by the solver as it stood when
-the march moved onto the contact space (one multi-RHS backsolve per run, an
-explicit QP matrix, no full solve per step).  That tree was checked against
-the one before it, which wrote the previous file: both were run on these
-presets at qp_rtol 1e-12, where the roundoff-driven spread of MPRGP's
-stopping test is small.  They took the same steps and agreed to 2e-10
-relative on the skewed ledger and on the fixed-step energy columns (except
-receding's R1, a roundoff-level column below 3e-4 of E: 1.7e-9), and to
-4e-14 on the peak p_n; CHANGES.md gives the figures.
+its numerics came to rest on numpy alone: np.linalg.solve for the one
+multi-RHS solve with the symmetrized K and for the contact mass, and the
+exact largest eigenvalue as the norm of the scaled QP matrix (which sets
+MPRGP's expansion step) in place of a seeded power-iteration estimate.
+That tree was checked against the one before it, which wrote the previous
+file: both were run on these presets at qp_rtol 1e-12, where the
+roundoff-driven spread of MPRGP's stopping test is small.  They took the
+same steps and agreed to 7.4e-10 relative on the skewed ledger, to
+3.7e-10 of each energy column's largest value (8.8e-11 on the fixed-step
+presets, except receding's R1, a roundoff-level column below 3e-4 of E:
+7.9e-10), and to 7.7e-11 on p_n over all steps; CHANGES.md gives the
+figures.
 Regenerate it only from a tree whose outputs are trusted: the golden test
 checks every later change against that tree.
 """

@@ -260,3 +260,14 @@ def test_scatter_solution_matches_block_loop():
         assert np.array_equal(sol.p[di], p)
         assert np.array_equal(sol.v[di], v)
     assert n == len(x)
+
+
+def test_singular_matrix_raises_assembly_error():
+    """An exactly singular K fails the solve as an AssemblyError, which the
+    command line maps to exit 3, not as numpy's LinAlgError."""
+    im = assemble(square(("D", "N", "N", "N"), n=2), None, MAT)
+    im.K[0, :] = 0.0
+    im.K[:, 0] = 0.0
+    im.factorize()
+    with pytest.raises(AssemblyError, match="singular assembled matrix"):
+        im.solve(np.ones(im.layout.n_unknowns))

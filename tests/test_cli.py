@@ -1,4 +1,7 @@
 import copy
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -208,6 +211,20 @@ def test_main_exit_codes(tmp_path, capsys):
     assert main(["run", "--preset", "skewed", "--eps", "0"]) == 2
     assert main(["run"]) == 2
     capsys.readouterr()
+    # overrides are checked like the schema and name their flag
+    for flag, value, match in [
+            ("--refine", "0", "--refine: value 0 below minimum 1"),
+            ("--refine", "100000", "domains[0].parts: 360000 elements, "
+                                   "above the cap"),
+            ("--tau", "0", "--tau: value 0.0 below minimum"),
+            ("--tau", "-1", "--tau: value -1.0 below minimum"),
+            ("--tau", "nan", "--tau: expected a finite number"),
+            ("--tau", "inf", "--tau: expected a finite number"),
+            ("--plot-every", "-2", "--plot-every: value -2 below minimum 0")]:
+        assert main(["run", "--preset", "receding", flag, value,
+                     "--out", str(tmp_path / "out")]) == 2, (flag, value)
+        err = capsys.readouterr().err.strip()
+        assert match in err and "\n" not in err, (flag, value, err)
 
 
 def test_main_runs_scenario_file(tmp_path, capsys):
@@ -218,6 +235,29 @@ def test_main_runs_scenario_file(tmp_path, capsys):
     assert code == 0
     assert "2 accepted steps" in capsys.readouterr().out
     assert (tmp_path / "out" / "energy_log.csv").exists()
+
+
+NUMPY_ONLY = """
+import sys
+from contactbem.cli import main
+assert main(sys.argv[1:]) == 0
+print(sorted(m for m in sys.modules if m.startswith("scipy")
+             or m.split(".")[:2] == ["numpy", "random"]))
+"""
+
+
+def test_run_imports_no_scipy_and_no_numpy_random(tmp_path):
+    """The solver's numerics are numpy's core and linalg alone: a run in a
+    fresh interpreter loads no scipy module and no numpy.random."""
+    path = tmp_path / "tiny.yaml"
+    path.write_text(yaml.safe_dump(tiny_scenario()))
+    src = str(Path(cli.__file__).resolve().parents[1])
+    done = subprocess.run(
+        [sys.executable, "-c", f"import sys; sys.path[:0] = [{src!r}]\n"
+         + NUMPY_ONLY, "run", str(path), "--out", str(tmp_path / "out")],
+        capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines()[-1] == "[]"
 
 
 def test_snapshot_svg_geometry(tmp_path):
@@ -314,6 +354,13 @@ MALFORMED_NODES = [
      "loads.neumann[0].domain: expected an integer"),
     (("loads", "dirichlet", 0, "segment"), 5.0,
      "loads.dirichlet[0].segment: expected an integer"),
+    (("domains", 0, "allow_floating"), "no",
+     "domains[0].allow_floating: expected true or false"),
+    (("name",), [1, 2], "name: expected a string"),
+    (("domains", 1, "label"), 7, "domains[1].label: expected a string"),
+    (("domains", 0, "parts", 0, "n"), 10**30,
+     f"domains[0].parts: {10**30 + 28} elements, above the cap of 1000 per "
+     "domain"),
 ]
 
 

@@ -339,8 +339,8 @@ def test_run_keeps_the_record_step_returns(monkeypatch):
 
 def test_qp_norm_estimated_once_per_step_size(monkeypatch):
     """The quadratic part of the step QP depends only on the step size: an
-    adaptive run that repeats step sizes estimates its norm once per
-    distinct size, not once per attempted step."""
+    adaptive run that repeats step sizes scales it and takes its norm once
+    per distinct size, not once per attempted step."""
     from contactbem import evolve, qp
 
     pair, im = stacked_system(top_tag="D")
@@ -349,18 +349,18 @@ def test_qp_norm_estimated_once_per_step_size(monkeypatch):
     lp = LoadProgram(times=[0.0, 5e-3, 1e-2],
                      g_D=[np.stack([0 * g1, g1, g1]), None], f_N=[None, None])
     taus, norms = [], []
-    step_, estimate_norm = evolve.step, qp.estimate_norm
+    step_, jacobi_scaling = evolve.step, qp.jacobi_scaling
 
     def counted_step(*args, **kwargs):
         taus.append(args[5])
         return step_(*args, **kwargs)
 
-    def counted_norm(*args, **kwargs):
+    def counted_scaling(*args, **kwargs):
         norms.append(len(args[0]))
-        return estimate_norm(*args, **kwargs)
+        return jacobi_scaling(*args, **kwargs)
 
     monkeypatch.setattr(evolve, "step", counted_step)
-    monkeypatch.setattr(qp, "estimate_norm", counted_norm)
+    monkeypatch.setattr(qp, "jacobi_scaling", counted_scaling)
     run(im, LAW, chi=1e-3, loads=lp, t_end=1e-2, tau=1e-3, tau_min=1e-6,
         tau_max=2e-3, eps=1e-7)
     assert len(taus) > len(set(taus)) > 1

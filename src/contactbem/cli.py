@@ -726,10 +726,14 @@ def _build_parser():
 def _load_scenario(args) -> Scenario:
     if args.preset and args.scenario:
         raise ConfigError("give either a scenario file or --preset, not both")
-    if args.preset:
-        doc = (preset_receding(_number(args.refine, "--refine", lo=1,
-                                       integer=True))
-               if args.preset == "receding" else PRESETS[args.preset]())
+    if args.preset == "receding":
+        refine = _number(args.refine, "--refine", lo=1, integer=True)
+        if refine % 10 != 0:
+            raise ConfigError(f"--refine: value {refine} is not a multiple "
+                              "of 10")
+        doc = preset_receding(refine)
+    elif args.preset:
+        doc = PRESETS[args.preset]()
     elif args.scenario:
         path = Path(args.scenario)
         if not path.exists():

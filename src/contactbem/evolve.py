@@ -170,7 +170,8 @@ class StepRecord:
     s: np.ndarray  # contact-space state [d; z] of the real field u^k
     stored: float  # discrete stored energy E at step k
     op: SteklovOperator
-    y: np.ndarray = None  # QP iterate, the next step's warm start
+    y: np.ndarray = None  # QP solution, the next step's warm start
+    active: np.ndarray = None  # active set of y, the next step's candidate
     residuum: EnergyResiduum = None
     qp_iterations: int = 0
     s_fict: np.ndarray = None  # state [d~; w] of the fictitious field v^k
@@ -204,21 +205,16 @@ def step(op: SteklovOperator, law: ContactLaw, chi: float, data: KnownData,
     d_old = np.where(data.dirichlet, data.at(t_k - tau), d_now)
     d_tilde, = modified_dirichlet([d_now], [d_old], tau, chi)
     qp = build_qp(op, d_tilde, law, tau, chi, state.z)
-    qsol = mprgp_solve(qp, y0=state.y, rtol=qp_rtol)
-    _, beta, w_t, w_n = y_to_awb(qsol.y)
-    # at nodes with zero friction weight the slip magnitude is indeterminate
-    # (flat objective direction); snap it to its tight value so the stored
-    # state satisfies the optimality characterization exactly
-    alpha = np.abs(w_t - state.z.z_t)
-    y_tight = awb_to_y(alpha, beta, w_t, w_n)
+    qsol = mprgp_solve(qp, y0=state.y, active=state.active, rtol=qp_rtol)
+    _, _, w_t, w_n = y_to_awb(qsol.y)
     # energy residuum: minimality gap of the incremental functional against
     # the do-nothing competitor (previous gap state carried over unchanged),
     # mapped from the fictitious to the physical displacement scale by the
     # same convex factor as the state recursion
     lam = tau / (tau + chi)
     beta_c = np.maximum(0.0, -(1.0 + chi / tau) * state.z.z_n)
-    y_comp = awb_to_y(np.zeros_like(alpha), beta_c, state.z.z_t, state.z.z_n)
-    delta = lam * (qp.objective(y_comp) - qp.objective(y_tight))
+    y_comp = awb_to_y(np.zeros_like(beta_c), beta_c, state.z.z_t, state.z.z_n)
+    delta = lam * (qp.objective(y_comp) - qp.objective(qsol.y))
 
     s_fict = np.concatenate([d_tilde, frame_join(pair, w_t, w_n)])
     z_new = GapState(z_t=lam * w_t + (1 - lam) * state.z.z_t,
@@ -250,9 +246,9 @@ def step(op: SteklovOperator, law: ContactLaw, chi: float, data: KnownData,
                          work_lift=work_lift, work_ext=work_ext, delta=delta)
     p_t, p_n = contact_tractions(op, s_fict)
     return StepRecord(k=state.k + 1, t=t_k, tau=tau, z=z_new, s=s_new,
-                      stored=stored_new, op=op, y=y_tight, residuum=res,
-                      qp_iterations=qsol.iterations, s_fict=s_fict,
-                      p_t=p_t, p_n=p_n, slip=dz_t > 1e-10)
+                      stored=stored_new, op=op, y=qsol.y, active=qsol.active,
+                      residuum=res, qp_iterations=qsol.iterations,
+                      s_fict=s_fict, p_t=p_t, p_n=p_n, slip=dz_t > 1e-10)
 
 
 GROW_FACTOR = 0.1  # a step whose delta is below this share of eps doubles

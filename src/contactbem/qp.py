@@ -5,8 +5,11 @@ module, is 0.5 y^T A y - b^T y + c over y >= xi.  A is an explicit dense
 matrix: the contact Hessian pulled back to y through the nodal frames, plus
 the consistent compliance mass.  A depends only on the operator and the
 step size, so it, its Jacobi-scaled form and that form's norm are built
-once per step size.  The solver is a projected conjugate gradient method
-with proportioning and expansion steps (MPRGP); A is only positive
+once per step size.  A step first solves the QP on the previous step's
+active set by a few primal-dual active-set corrections, each one direct
+solve of the free block; the projected conjugate gradient method with
+proportioning and expansion steps (MPRGP) runs only when that fails, and the
+same corrections then finish its iterate exactly.  A is only positive
 semidefinite (the slip magnitudes appear linearly), so nonpositive
 curvature along a search direction falls back to the expansion step.
 """
@@ -40,6 +43,9 @@ class QPProblem:
     xi: np.ndarray
     c: float = 0.0
     scaled: tuple = None  # jacobi_scaling(A); None: built per solve
+    # y stacks (y1, y2, y3, y4) as build_qp does: each node's slip
+    # magnitude alpha = (y1 + y2)/2 is a null direction of A
+    slip_pairs: bool = False
 
     @property
     def dim(self) -> int:
@@ -104,7 +110,7 @@ def build_qp(op, d: np.ndarray, law: ContactLaw, tau: float, chi: float,
     ])
     xi = mosco_bounds(z_prev, tau, chi)
     return QPProblem(A=A, b=b, xi=xi, c=float(-0.5 * d @ (op.P @ d)),
-                     scaled=scaled)
+                     scaled=scaled, slip_pairs=True)
 
 
 def jacobi_scaling(A: np.ndarray):
@@ -132,8 +138,72 @@ def _max_feasible_step(y, d, xi):
     return float(((y - xi)[pos] / d[pos]).min(initial=np.inf))
 
 
-def mprgp_solve(p: QPProblem, y0: np.ndarray = None, rtol: float = 1e-8,
-                max_iter: int = None, telemetry: list = None) -> QPSolution:
+MAX_ACTIVE_SETS = 4  # active sets one candidate solve may try
+
+
+def _tighten(y, xi, s, i):
+    """Shift the slip pairs (y1, y2) of the nodes i along their null
+    direction until the one nearer its bound sits exactly on it, so that
+    alpha = |w_t - z_t|; y and xi are scaled by s.  In place."""
+    j = i + len(y) // 4
+    e1, e2 = (y[i] - xi[i]) / s[i], (y[j] - xi[j]) / s[j]
+    low = e1 <= e2
+    y[i] = np.where(low, xi[i], y[i] - s[i] * e2)
+    y[j] = np.where(low, y[j] - s[j] * e1, xi[j])
+
+
+def _active_set_solve(A, b, xi, act, slip=None):
+    """Primal-dual active-set corrections from the candidate active set act
+    on the scaled problem min 0.5 y^T A y - b^T y over y >= xi.
+
+    Each correction puts the active components on their bounds and solves
+    the free block directly; the next set keeps an active index while its
+    gradient is >= -eps (eps at roundoff) and adds every free component
+    that landed below its bound.  It stops when the set repeats or after
+    MAX_ACTIVE_SETS sets and returns (y, g) of the last set, or (None,
+    None) if a free block is singular, and the applications of A.
+
+    slip = (s, flat) marks a build_qp problem scaled by s.  A pair (y1, y2)
+    with both free spans the null direction alpha of A, so the solve pins
+    alpha = 0 (y2 = -y1).  At flat nodes (zero friction weight,
+    b1 + b2 = 0) the objective is flat along alpha too, and alpha is then
+    set tight.  Elsewhere the pinned pair violates a bound unless it is
+    stuck, and the next set activates that side.
+    """
+    n, m = len(b), len(b) // 4
+    eps = 1e-12 * _norm(b)
+    for sets in range(1, MAX_ACTIVE_SETS + 1):
+        free = ~act
+        y = np.where(act, xi, 0.0)
+        rhs = b - A @ y
+        i = np.zeros(0, dtype=int)
+        if slip is not None:
+            s, flat = slip
+            i = np.flatnonzero(free[:m] & free[m:2 * m])
+        try:
+            if i.size:
+                keep = free.copy()
+                keep[i + m] = False
+                T = np.eye(n)[:, keep]
+                T[i + m, np.searchsorted(np.flatnonzero(keep), i)] = (
+                    -s[i + m] / s[i])
+                y[free] = (T @ np.linalg.solve(T.T @ A @ T, T.T @ rhs))[free]
+                _tighten(y, xi, s, i[flat[i]])
+            else:
+                y[free] = np.linalg.solve(A[np.ix_(free, free)], rhs[free])
+        except np.linalg.LinAlgError:
+            return None, None, 2 * sets - 1
+        g = A @ y - b
+        new = np.where(act, g >= -eps, y < xi)
+        if np.array_equal(new, act):
+            break
+        act = new
+    return y, g, 2 * sets
+
+
+def mprgp_solve(p: QPProblem, y0: np.ndarray = None, active: np.ndarray = None,
+                rtol: float = 1e-8, max_iter: int = None,
+                telemetry: list = None) -> QPSolution:
     """Projected CG with proportioning and expansion for min over y >= xi.
 
     Stops when the projected gradient norm drops below rtol times the
@@ -143,6 +213,14 @@ def mprgp_solve(p: QPProblem, y0: np.ndarray = None, rtol: float = 1e-8,
     positive diagonal scaling preserves the bound structure and equalizes
     stiff and soft rows, which keeps the fixed expansion step effective.
     Every application of A is one matvec with A_hat.
+
+    A candidate active set (the previous step's) is tried first by
+    _active_set_solve; its result is returned after 0 iterations when it is
+    feasible and passes the stopping test.  Otherwise MPRGP runs from y0,
+    and _active_set_solve then finishes from MPRGP's active set; that result
+    is kept when it passes the same test and does not raise the objective.
+    For a build_qp problem every slip magnitude of the result is made tight.
+    The returned active set is that of the returned y.
     """
     n = p.dim
     if max_iter is None:
@@ -150,14 +228,7 @@ def mprgp_solve(p: QPProblem, y0: np.ndarray = None, rtol: float = 1e-8,
     scal, A, norm_A = p.scaled if p.scaled is not None else jacobi_scaling(p.A)
     b = p.b / scal
     xi = p.xi * scal
-    if y0 is not None:
-        y0 = y0 * scal
-    y = np.maximum(y0 if y0 is not None else xi, xi).astype(float)
-    abar = 1.0 / norm_A if norm_A > 0 else 1.0
     tiny = 1e-13
-
-    g = A @ y - b
-    nb = 1
     tol = rtol * max(_norm(b), tiny)
     act_below = xi + tiny * (1.0 + np.abs(xi))
 
@@ -167,13 +238,52 @@ def mprgp_solve(p: QPProblem, y0: np.ndarray = None, rtol: float = 1e-8,
         chop_g = np.where(act, np.minimum(g, 0.0), 0.0)
         return act, free_g, chop_g
 
+    def kkt(y, g):
+        _, free_g, chop_g = parts(y, g)
+        return bool(np.all(y >= xi)) and _norm(free_g + chop_g) <= tol
+
+    slip = None
+    if p.slip_pairs:
+        m = n // 4
+        slip = scal, p.b[:m] + p.b[m:2 * m] == 0.0
+    y, it, nb = None, 0, 0
+    if active is not None:
+        y, g, nb = _active_set_solve(A, b, xi, active, slip)
+        if y is not None and not kkt(y, g):
+            y = None
+    if y is None:
+        y, g, it, nb_mprgp = _mprgp(A, b, xi, y0, scal, norm_A, tol, parts,
+                                    max_iter, p.c, telemetry)
+        y_f, g_f, nb_f = _active_set_solve(A, b, xi, parts(y, g)[0], slip)
+        nb += nb_mprgp + nb_f
+        if (y_f is not None and kkt(y_f, g_f)
+                and y_f @ (g_f - b) <= y @ (g - b)):
+            y = y_f
+    if p.slip_pairs:
+        _tighten(y, xi, scal, np.arange(n // 4))
+    act = y <= act_below
+    return QPSolution(y=np.where(act, p.xi, y / scal), iterations=it,
+                      active=act, n_backsolves=nb)
+
+
+def _mprgp(A, b, xi, y0, scal, norm_A, tol, parts, max_iter, c, telemetry):
+    """The MPRGP iteration on the scaled problem from y0 (unscaled);
+    returns (y, g, iterations, applications of A)."""
+    if y0 is not None:
+        y0 = y0 * scal
+    y = np.maximum(y0 if y0 is not None else xi, xi).astype(float)
+    abar = 1.0 / norm_A if norm_A > 0 else 1.0
+    tiny = 1e-13
+
+    g = A @ y - b
+    nb = 1
     act, free_g, chop_g = parts(y, g)
     d = free_g.copy()
     it = 0
     while True:
         nu = _norm(free_g + chop_g)
         if telemetry is not None:
-            obj = 0.5 * float(y @ g - b @ y) + p.c
+            obj = 0.5 * float(y @ g - b @ y) + c
             telemetry.append((it, nu, int(act.sum()), obj))
         if nu <= tol:
             # recurred gradients drift; confirm against a fresh residual
@@ -225,4 +335,4 @@ def mprgp_solve(p: QPProblem, y0: np.ndarray = None, rtol: float = 1e-8,
             act, free_g, chop_g = parts(y, g)
             d = free_g.copy()
 
-    return QPSolution(y=y / scal, iterations=it, active=act, n_backsolves=nb)
+    return y, g, it, nb

@@ -214,6 +214,7 @@ def test_main_exit_codes(tmp_path, capsys):
     # overrides are checked like the schema and name their flag
     for flag, value, match in [
             ("--refine", "0", "--refine: value 0 below minimum 1"),
+            ("--refine", "15", "--refine: value 15 is not a multiple of 10"),
             ("--refine", "100000", "domains[0].parts: 360000 elements, "
                                    "above the cap"),
             ("--tau", "0", "--tau: value 0.0 below minimum"),

@@ -295,7 +295,10 @@ def test_run_keeps_the_record_step_returns(monkeypatch):
     """step returns one record per attempt, rejected ones included; run
     keeps the accepted ones as they are, and each starts the next step.
     Slip flags compare with the previous kept record (rest before the
-    first) and tractions are those of the record's fictitious state."""
+    first) and tractions are those of the record's fictitious state.  The
+    QP of an attempt from a record with an active set is solved from that
+    candidate: at most a handful fall back to MPRGP, and every accepted y
+    meets the KKT conditions to roundoff."""
     from contactbem import evolve
 
     pair, im = stacked_system(top_tag="D")
@@ -312,7 +315,14 @@ def test_run_keeps_the_record_step_returns(monkeypatch):
         attempts.append(step_(*args, **kwargs))
         return attempts[-1]
 
+    qps, mprgp_solve = [], evolve.mprgp_solve
+
+    def solved(p, *args, **kwargs):
+        qps.append(p)
+        return mprgp_solve(p, *args, **kwargs)
+
     monkeypatch.setattr(evolve, "step", recorded)
+    monkeypatch.setattr(evolve, "mprgp_solve", solved)
     recs = run(im, law, chi=1e-3, loads=lp, t_end=1e-2, tau=1e-3,
                tau_min=1e-6, tau_max=2e-3, eps=eps)
     assert all(isinstance(a, StepRecord) for a in attempts)
@@ -335,6 +345,16 @@ def test_run_keeps_the_record_step_returns(monkeypatch):
         prev_zt = rec.z.z_t
     slips = [bool(rec.slip.any()) for rec in recs]
     assert any(slips) and not all(slips)  # the run both slides and sticks
+    fallbacks = [a.qp_iterations > 0 for a, state in zip(attempts, inputs)
+                 if state.active is not None]
+    assert len(fallbacks) >= 10 and sum(fallbacks) <= 2
+    for rec, p in zip(recs, [p for p, k in zip(qps, kept) if k]):
+        g = p.A @ rec.y - p.b
+        y_max = np.abs(rec.y).max()
+        g_max = np.abs(p.A).max() * y_max + np.abs(p.b).max()
+        assert (p.xi - rec.y).max() <= 1e-14 * y_max
+        assert np.abs(g[~rec.active]).max(initial=0.0) <= 1e-14 * g_max
+        assert g[rec.active].min(initial=0.0) >= -1e-14 * g_max
 
 
 def test_qp_norm_estimated_once_per_step_size(monkeypatch):

@@ -10,7 +10,9 @@ from contactbem.mesh import Material, build_mesh, pair_contacts
 from contactbem.qp import (
     QPError,
     QPProblem,
+    _active_set_solve,
     build_qp,
+    jacobi_scaling,
     mprgp_solve,
 )
 from contactbem.steklov import SteklovOperator
@@ -211,3 +213,105 @@ def test_iteration_cap_raises():
     p, A = random_problem(np.random.default_rng(3), 6)
     with pytest.raises(QPError, match="iterations"):
         mprgp_solve(p, rtol=1e-14, max_iter=1)
+
+
+# -- candidate active sets ------------------------------------------------------
+
+def active_of(y, xi):
+    """The oracle puts active components exactly on their bounds."""
+    return y == xi
+
+
+def test_true_active_set_solves_without_mprgp():
+    """The optimum's own active set as candidate returns the enumeration
+    oracle's solution to roundoff, with no MPRGP iteration."""
+    for k in range(12):
+        p, A = random_problem(np.random.default_rng(300 + k), 8)
+        y_ref = oracle_solve(A, p.b, p.xi)
+        sol = mprgp_solve(p, active=active_of(y_ref, p.xi))
+        assert sol.iterations == 0, k
+        assert np.abs(sol.y - y_ref).max() <= 1e-12 * (np.abs(y_ref).max() + 1)
+
+
+def test_wrong_candidate_is_corrected_or_falls_back():
+    """A candidate with one index flipped, or all free, or all active, ends
+    at the oracle's solution, either by active-set corrections alone or by
+    the MPRGP fallback; the corrections alone fix most single flips."""
+    corrected = flips = 0
+    for k in range(12):
+        p, A = random_problem(np.random.default_rng(400 + k), 8)
+        y_ref = oracle_solve(A, p.b, p.xi)
+        true = active_of(y_ref, p.xi)
+        cands = [np.zeros(8, bool), np.ones(8, bool)]
+        for i in range(8):
+            cands.append(true.copy())
+            cands[-1][i] = ~true[i]
+        for j, cand in enumerate(cands):
+            sol = mprgp_solve(p, active=cand)
+            assert np.abs(sol.y - y_ref).max() <= 1e-12 * (
+                np.abs(y_ref).max() + 1), (k, j)
+            flips += j >= 2
+            corrected += j >= 2 and sol.iterations == 0
+    assert corrected >= 0.9 * flips
+
+
+def test_zero_weight_slip_pair_is_pinned_and_made_tight():
+    """Where the friction weight is zero (beta_prev = 0 at a node and its
+    neighbours) the slip magnitude alpha is a null direction of both A and
+    the objective.  A candidate that frees both y1 and y2 there is solved
+    with alpha pinned, in one active set and no MPRGP iteration, and alpha
+    comes back tight, alpha = |w_t - z_t|, at a tight MPRGP solution."""
+    pair, op, _, d = stacked_op()
+    n = pair.n_master_nodes
+    z_n = np.full(n, -1e-4)
+    z_n[:2] = 0.0
+    z = GapState(z_t=np.random.default_rng(8).normal(size=n) * 1e-5, z_n=z_n)
+    p = build_qp(op, d, LAW, tau=1e-3, chi=1e-3, z_prev=z)
+    flat = p.b[:n] + p.b[n:2 * n] == 0.0
+    assert flat[0] and not flat[1:].any()
+    ref = mprgp_solve(p, rtol=1e-12)
+    cand = ref.active.copy()
+    cand[[0, n]] = False
+    sol = mprgp_solve(p, active=cand)
+    assert sol.iterations == 0
+    assert sol.n_backsolves == 2  # one active set: right side and gradient
+    alpha, beta, w_t, w_n = y_to_awb(sol.y)
+    scale = np.abs(sol.y).max()
+    assert np.abs(alpha - np.abs(w_t - z.z_t)).max() <= 1e-14 * scale
+    assert np.abs(sol.y - ref.y).max() <= 1e-12 * scale
+
+
+def test_mprgp_iterate_is_finished_exactly():
+    """Without a candidate, MPRGP stops at rtol 1e-8 on a contact QP, and
+    the active-set corrections from its active set then meet the KKT
+    conditions to roundoff (MPRGP's own iterate is off by about 3e-7)."""
+    pair, op, _, d = stacked_op(nA=3, nB=3)
+    rng = np.random.default_rng(5)
+    n = pair.n_master_nodes
+    z_prev = GapState(z_t=rng.normal(size=n) * 1e-4,
+                      z_n=-np.abs(rng.normal(size=n)) * 1e-4)
+    p = build_qp(op, d, LAW, tau=1e-3, chi=1e-3, z_prev=z_prev)
+    sol = mprgp_solve(p)
+    g = (p.A @ sol.y - p.b) / np.abs(p.b).max()
+    assert sol.iterations > 0
+    assert np.abs(g[~sol.active]).max() <= 1e-14
+    assert g[sol.active].min() >= -1e-14
+
+
+def test_infeasible_candidate_solve_is_rejected():
+    """When the corrections stop at their cap with a component below its
+    bound (while the projected gradient is already small), the candidate
+    is rejected and MPRGP solves the problem."""
+    rng = np.random.default_rng(380)
+    n = rng.integers(2, 7)
+    B = rng.normal(size=(n, n))
+    A = B @ B.T + 0.1 * np.eye(n)
+    p = QPProblem(A=A, b=rng.normal(size=n), xi=rng.normal(size=n) * 0.5)
+    s, A_hat, _ = jacobi_scaling(A)
+    y_hat = _active_set_solve(A_hat, p.b / s, p.xi * s, np.zeros(n, bool))[0]
+    assert np.any(y_hat < p.xi * s)
+    sol = mprgp_solve(p, active=np.zeros(n, bool), rtol=1e-12)
+    assert sol.iterations > 0
+    y_ref = oracle_solve(A, p.b, p.xi)
+    assert np.all(sol.y >= p.xi)
+    assert np.abs(sol.y - y_ref).max() <= 1e-12 * (np.abs(y_ref).max() + 1)

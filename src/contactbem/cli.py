@@ -26,7 +26,7 @@ import yaml
 from . import __version__
 from .assembly import AssemblyError, assemble, geometry_hash
 from .contact import ContactError, ContactLaw
-from .evolve import EvolveError, LoadProgram, run
+from .evolve import EvolveError, LoadProgram, StepRecord, run
 from .kernels import KernelError
 from .mesh import VALID_TAGS, Material, MeshError, build_mesh, pair_contacts
 from .qp import QPError
@@ -113,7 +113,6 @@ class SolverConfig:
     tau_min: float = None
     tau_max: float = None
     eps: float = None  # N mm; adaptivity off when None
-    qp_rtol: float = 1e-8
     plot_every: int = 0
     magnification: float = 1000.0
 
@@ -251,8 +250,6 @@ def parse_scenario(doc) -> Scenario:
         tau_max=_number(_take(sol_raw, "tau_max", "solver", required=False,
                               default=tau), "solver.tau_max", lo=1e-15),
         eps=None if eps is None else _number(eps, "solver.eps", lo=1e-30),
-        qp_rtol=_number(_take(sol_raw, "qp_rtol", "solver", required=False,
-                              default=1e-8), "solver.qp_rtol", lo=1e-16),
         plot_every=_number(_take(sol_raw, "plot_every", "solver",
                                  required=False, default=0),
                            "solver.plot_every", lo=0, integer=True),
@@ -644,15 +641,16 @@ def scenario_to_dict(sc: Scenario) -> dict:
         "solver": {
             "t_end": sc.solver.t_end, "tau": sc.solver.tau,
             "tau_min": sc.solver.tau_min, "tau_max": sc.solver.tau_max,
-            "eps": sc.solver.eps, "qp_rtol": sc.solver.qp_rtol,
+            "eps": sc.solver.eps,
             "plot_every": sc.solver.plot_every,
             "magnification": sc.solver.magnification,
         },
     }
 
 
-def run_scenario(sc: Scenario, out_dir) -> list:
-    """Execute a scenario, streaming artifacts into out_dir."""
+def run_scenario(sc: Scenario, out_dir) -> StepRecord:
+    """Execute a scenario, streaming artifacts into out_dir; returns the
+    last accepted record."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     system = build_system(sc)
@@ -685,15 +683,14 @@ def run_scenario(sc: Scenario, out_dir) -> list:
                 pair=system.pair, p_n=rec.p_n)
 
     try:
-        records = run(system.im, sc.law, sc.chi, system.loads,
-                      t_end=sc.solver.t_end, tau=sc.solver.tau,
-                      tau_min=sc.solver.tau_min, tau_max=sc.solver.tau_max,
-                      eps=sc.solver.eps, qp_rtol=sc.solver.qp_rtol,
-                      on_step=on_step)
+        last = run(system.im, sc.law, sc.chi, system.loads,
+                   t_end=sc.solver.t_end, tau=sc.solver.tau,
+                   tau_min=sc.solver.tau_min, tau_max=sc.solver.tau_max,
+                   eps=sc.solver.eps, on_step=on_step)
     finally:
         contact_fh.close()
         energy_fh.close()
-    return records
+    return last
 
 
 # -- command line -------------------------------------------------------------
@@ -763,7 +760,7 @@ def main(argv=None) -> int:
                   end="")
             return 0
         out = args.out or f"out-{sc.name}"
-        records = run_scenario(sc, out)
+        last = run_scenario(sc, out)
     except (ConfigError, MeshError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
@@ -771,8 +768,7 @@ def main(argv=None) -> int:
             ContactError) as exc:
         print(f"solver failure: {exc}", file=sys.stderr)
         return 3
-    last = records[-1]
-    print(f"{sc.name}: {len(records)} accepted steps to t={last.t:.6g}s, "
+    print(f"{sc.name}: {last.k} accepted steps to t={last.t:.6g}s, "
           f"stored energy {last.stored:.6g} N mm, output in {out}")
     return 0
 

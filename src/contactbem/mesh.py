@@ -116,28 +116,45 @@ def _point_segment_distance(p, a, b) -> float:
     return float(np.linalg.norm(p - (a + t * d)))
 
 
-def _check_simple(poly: np.ndarray):
+def _unit_extent(poly: np.ndarray) -> np.ndarray:
+    """poly translated and scaled so that its bounding box has largest side
+    1, where the orientation and distance tests cannot overflow."""
+    with np.errstate(over="ignore"):
+        extent = float(np.ptp(poly, axis=0).max())
+    if not np.isfinite(extent):
+        raise MeshError(f"polyline extent {extent} is not finite")
+    return (poly - poly.min(axis=0)) / (extent if extent > 0.0 else 1.0)
+
+
+def _check_simple(poly: np.ndarray, unit: np.ndarray):
     """Reject zero-length segments, crossings, and segments that touch or
-    overlap anywhere but at the vertex two consecutive segments share."""
+    overlap anywhere but at the vertex two consecutive segments share.
+    The tests run on unit = _unit_extent(poly); messages give poly's
+    coordinates."""
     m = len(poly)
-    seg = [(poly[i], poly[(i + 1) % m]) for i in range(m)]
+    seg = [(unit[i], unit[(i + 1) % m]) for i in range(m)]
+    tol = 1e-12
     for i, (p, q) in enumerate(seg):
-        if np.array_equal(p, q):
-            raise MeshError(f"segment {i}: zero length")
-    tol = 1e-12 * float(np.ptp(poly, axis=0).max())
+        if np.linalg.norm(q - p) <= tol:
+            raise MeshError(f"segment {i}: zero length (at most 1e-12 of "
+                            f"the polyline's extent)")
     for i in range(m):
         p, q = seg[i]
         for j in range(i + 1, m):
             a, b = seg[j]
             if j == i + 1 or (i == 0 and j == m - 1):
                 # neighbours share one vertex; they must not fold back
-                if _orient(p, q, b if j == i + 1 else a) == 0 and (q - p) @ (b - a) < 0:
+                far = b if j == i + 1 else a
+                if (abs(_orient(p, q, far)) <= tol * np.linalg.norm(q - p)
+                        and (q - p) @ (b - a) < 0):
                     raise MeshError(f"polyline folds back at segments {i} and {j}")
                 continue
             if _segments_properly_intersect(p, q, a, b):
                 raise MeshError(f"polyline self-intersects (segments {i} and {j})")
-            for x, s0, s1 in ((p, a, b), (q, a, b), (a, p, q), (b, p, q)):
-                if _point_segment_distance(x, s0, s1) <= tol:
+            for k, (s0, s1) in ((i, seg[j]), ((i + 1) % m, seg[j]),
+                                (j, seg[i]), ((j + 1) % m, seg[i])):
+                if _point_segment_distance(unit[k], s0, s1) <= tol:
+                    x = poly[k]
                     raise MeshError(
                         f"polyline segments {i} and {j} touch at "
                         f"({x[0]:.12g}, {x[1]:.12g})"
@@ -196,13 +213,14 @@ def build_mesh(
     poly = np.asarray(polyline, dtype=float)
     if len(poly) < 3:
         raise MeshError("polyline needs at least 3 vertices")
-    if np.allclose(poly[0], poly[-1]):
+    unit = _unit_extent(poly)
+    if np.allclose(unit[0], unit[-1]):
         raise MeshError("do not repeat the first vertex; closure is implicit")
     if len(part_spec) != len(poly):
         raise MeshError("one part spec per polyline segment required")
-    if _signed_area(poly) <= 0:
+    if _signed_area(unit) <= 0:
         raise MeshError("polyline must be anti-clockwise")
-    _check_simple(poly)
+    _check_simple(poly, unit)
 
     nodes = []
     elements = []

@@ -11,19 +11,18 @@ the file is replaced.
     PYTHONPATH=src python tests/data/make_golden_presets.py OUT.npz
 
 The committed golden_presets.npz was written by the solver as it stood when
-each step's QP came to be solved exactly: primal-dual active-set
-corrections from the previous step's active set, one direct solve of the
-free block each, with MPRGP only as the fallback and the same corrections
-finishing its iterate.  That tree was checked against the one before it,
-which wrote the previous file, run on these presets at qp_rtol 1e-12,
-where the spread of MPRGP's stopping test is small.  The new stock outputs
-took the same steps and agreed with it to 4.1e-10 relative on the skewed
-ledger, to 1.6e-10 of each fixed-step energy column's largest value
-(except receding's R1, a roundoff-level column: 8.0e-10), and on p_n over
-all steps to 1.5e-9 (fixed-step) and 6.1e-9 (skewed; 2.7e-13 at its peak
-step).  The skewed final p_n, a residue of the separated state, is no
-longer stored: the golden test checks it against the run's own peak.
-CHANGES.md gives the figures.
+each step's QP came to be solved by one primal active-set method, started
+at y = xi from the previous step's active set, with no iterative solver and
+no tolerance.  Against the file before it (written by active-set
+corrections with an MPRGP fallback) the same steps were taken, every energy
+column agreed to 6.5e-13 (receding) and 2.4e-11 (conforming) of its largest
+value, the final p_n to 4.4e-10 and 8.5e-14, the skewed ledger to 4.9e-10
+relative and its peak p_n to 5.1e-15; qp_iters, now the count of
+components that entered or left the solver's start set, changed meaning.
+The file was written with one BLAS thread; the default thread count
+reproduces it to 7.9e-11.  The skewed final p_n, a residue of
+the separated state, is not stored: the golden test checks it against the
+run's own peak.  CHANGES.md gives the figures.
 Regenerate it only from a tree whose outputs are trusted: the golden test
 checks every later change against that tree.
 """
@@ -52,12 +51,15 @@ COLUMNS = {"receding_energy": ENERGY_COLUMNS,
 
 
 def march(doc):
+    """The accepted records of a preset run."""
     sc = parse_scenario(doc)
     system = build_system(sc)
-    return run(system.im, sc.law, sc.chi, system.loads,
-               t_end=sc.solver.t_end, tau=sc.solver.tau,
-               tau_min=sc.solver.tau_min, tau_max=sc.solver.tau_max,
-               eps=sc.solver.eps)
+    records = []
+    run(system.im, sc.law, sc.chi, system.loads, t_end=sc.solver.t_end,
+        tau=sc.solver.tau, tau_min=sc.solver.tau_min,
+        tau_max=sc.solver.tau_max, eps=sc.solver.eps,
+        on_step=records.append)
+    return records
 
 
 def peak_p_n(records):

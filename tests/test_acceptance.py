@@ -29,7 +29,7 @@ from contactbem.cli import (
 from contactbem.contact import ContactLaw, GapState, contact_mass, split_y, y_to_awb
 from contactbem.evolve import modified_dirichlet, run
 from contactbem.mesh import Material, build_mesh
-from contactbem.qp import QPProblem, build_qp, mprgp_solve
+from contactbem.qp import QPProblem, build_qp, solve_qp
 from contactbem.steklov import SteklovOperator
 
 
@@ -41,14 +41,21 @@ def report(capsys, num, name, ok, detail):
     assert ok, line
 
 
+def _records(*args, **kwargs):
+    """The accepted records of a run, collected as it streams them."""
+    records = []
+    run(*args, on_step=records.append, **kwargs)
+    return records
+
+
 def _run_stock(doc):
     """Build a preset document and march it with its stock solver settings."""
     sc = parse_scenario(doc)
     system = build_system(sc)
-    records = run(system.im, sc.law, sc.chi, system.loads,
-                  t_end=sc.solver.t_end, tau=sc.solver.tau,
-                  tau_min=sc.solver.tau_min, tau_max=sc.solver.tau_max,
-                  eps=sc.solver.eps)
+    records = _records(system.im, sc.law, sc.chi, system.loads,
+                       t_end=sc.solver.t_end, tau=sc.solver.tau,
+                       tau_min=sc.solver.tau_min, tau_max=sc.solver.tau_max,
+                       eps=sc.solver.eps)
     return sc, system, records
 
 
@@ -71,10 +78,10 @@ def skewed_system():
 @pytest.fixture(scope="module")
 def skewed(skewed_system):
     sc, system = skewed_system
-    records = run(system.im, sc.law, sc.chi, system.loads,
-                  t_end=sc.solver.t_end, tau=sc.solver.tau,
-                  tau_min=sc.solver.tau_min, tau_max=sc.solver.tau_max,
-                  eps=sc.solver.eps)
+    records = _records(system.im, sc.law, sc.chi, system.loads,
+                       t_end=sc.solver.t_end, tau=sc.solver.tau,
+                       tau_min=sc.solver.tau_min, tau_max=sc.solver.tau_max,
+                       eps=sc.solver.eps)
     return sc, system, records
 
 
@@ -152,7 +159,7 @@ def _active_set_oracle(A, b, xi):
 
 
 def test_criterion_03_qp_oracle(capsys):
-    """MPRGP matches exhaustive active-set enumeration to 1e-8 in solution
+    """solve_qp matches exhaustive active-set enumeration to 1e-8 in solution
     norm on 200 random SPD bound-constrained instances of dimension <= 12."""
     rng = np.random.default_rng(7)
     t0 = time.perf_counter()
@@ -165,7 +172,7 @@ def test_criterion_03_qp_oracle(capsys):
         xi = rng.uniform(-1.0, 1.0, size=n)
         y_ref = _active_set_oracle(A, b, xi)
         p = QPProblem(A=A, b=b, xi=xi)
-        y = mprgp_solve(p, rtol=1e-12).y
+        y = solve_qp(p).y
         worst = max(worst, float(np.linalg.norm(y - y_ref)
                                  / max(1.0, np.linalg.norm(y_ref))))
     dt = time.perf_counter() - t0
@@ -274,10 +281,10 @@ def test_criterion_08_energy_adaptivity(capsys, skewed_system, skewed):
     sc, system = skewed_system
     ladders = []
     for eps in (6.4e-2, 1.6e-2, 4e-3):  # N mm
-        recs = run(system.im, sc.law, sc.chi, system.loads,
-                   t_end=sc.solver.t_end, tau=sc.solver.tau,
-                   tau_min=sc.solver.tau_min, tau_max=sc.solver.tau_max,
-                   eps=eps)
+        recs = _records(system.im, sc.law, sc.chi, system.loads,
+                        t_end=sc.solver.t_end, tau=sc.solver.tau,
+                        tau_min=sc.solver.tau_min, tau_max=sc.solver.tau_max,
+                        eps=eps)
         ladders.append((eps, recs))
     ladders.append((sc.solver.eps, skewed[2]))  # stock run is eps = 1e-3
     over, under, maxes = 0, 0, []
@@ -352,8 +359,8 @@ def test_criterion_11_friction_jump(capsys, skewed_system):
     series = {}
     for mu in (1.1, 0.2):
         law = ContactLaw(mu=mu, k_g=sc.law.k_g)
-        recs = run(system.im, law, sc.chi, system.loads,
-                   t_end=sc.solver.t_end, tau=sc.solver.tau)
+        recs = _records(system.im, law, sc.chi, system.loads,
+                        t_end=sc.solver.t_end, tau=sc.solver.tau)
         series[mu] = _jump_steps(_traction_integral_series(system, recs))
     ok = bool(series[1.1]) and not series[0.2]
     report(capsys, 11, "large-friction separation jump", ok,

@@ -75,6 +75,8 @@ def test_parse_round_trips_through_yaml():
 @pytest.mark.parametrize("mutate,match", [
     (lambda d: d.pop("chi"), "missing key 'chi'"),
     (lambda d: d.update(bogus=1), "unknown keys"),
+    # the QP is solved exactly: there is no tolerance to set
+    (lambda d: d["solver"].update(qp_rtol=1e-8), r"unknown keys \['qp_rtol'\]"),
     (lambda d: d["contact"].update(mu=-0.5), "contact"),
     (lambda d: d["domains"][0]["material"].update(nu=0.7), "nu"),
     (lambda d: d["domains"][0]["parts"].pop(), "one part per"),
@@ -123,10 +125,26 @@ def test_neumann_load_lands_on_requested_segment():
     assert np.all(f_end[1] == 0.0)
 
 
+def run_collecting(monkeypatch, sc, out_dir):
+    """run_scenario's accepted records, collected as the march streams them;
+    run_scenario itself returns only the last."""
+    records, run = [], cli.run
+
+    def collecting(*args, on_step, **kwargs):
+        def both(rec):
+            on_step(rec)
+            records.append(rec)
+        return run(*args, on_step=both, **kwargs)
+
+    monkeypatch.setattr(cli, "run", collecting)
+    assert cli.run_scenario(sc, out_dir) is records[-1]
+    return records
+
+
 def test_run_writes_all_artifacts(tmp_path):
     sc = parse_scenario(tiny_scenario(plot_every=2, magnification=100.0))
-    records = cli.run_scenario(sc, tmp_path)
-    assert len(records) == 4
+    last = cli.run_scenario(sc, tmp_path)
+    assert last.k == 4
     assert (tmp_path / "run_manifest.yaml").exists()
     man = yaml.safe_load((tmp_path / "run_manifest.yaml").read_text())
     assert man["scenario"]["name"] == "tiny"
@@ -136,9 +154,9 @@ def test_run_writes_all_artifacts(tmp_path):
     assert svgs[0].read_text().startswith("<svg")
 
 
-def test_contact_csv_round_trips_bit_exact(tmp_path):
+def test_contact_csv_round_trips_bit_exact(tmp_path, monkeypatch):
     sc = parse_scenario(tiny_scenario())
-    records = cli.run_scenario(sc, tmp_path)
+    records = run_collecting(monkeypatch, sc, tmp_path)
     lines = (tmp_path / "contact_series.csv").read_text().splitlines()
     assert lines[0].split(",") == list(cli.CONTACT_COLUMNS)
     n_c = records[0].p_n.shape[0]
@@ -151,9 +169,9 @@ def test_contact_csv_round_trips_bit_exact(tmp_path):
             assert float(row[9]) == rec.z.z_t[i]
 
 
-def test_energy_csv_consistent_with_records(tmp_path):
+def test_energy_csv_consistent_with_records(tmp_path, monkeypatch):
     sc = parse_scenario(tiny_scenario())
-    records = cli.run_scenario(sc, tmp_path)
+    records = run_collecting(monkeypatch, sc, tmp_path)
     lines = (tmp_path / "energy_log.csv").read_text().splitlines()
     assert lines[0].split(",") == list(cli.ENERGY_COLUMNS)
     assert len(lines) == 1 + len(records)
@@ -284,6 +302,23 @@ def test_main_touching_polyline_exits_2(tmp_path, capsys):
     assert main(["run", str(path), "--out", str(tmp_path / "out")]) == 2
     err = capsys.readouterr().err.strip()
     assert "segments 0 and 3 touch at (2, 0)" in err
+    assert "\n" not in err
+
+
+def test_main_huge_self_crossing_polyline_exits_2(tmp_path, capsys):
+    """The crossing and orientation tests are scale-free: a self-crossing
+    polyline near the float limit, where its raw signed area and
+    orientation products overflow, is still rejected."""
+    doc = tiny_scenario()
+    doc["domains"][1]["polyline"] = [[1e155 * x, 1e155 * y] for x, y in
+                                     [[0, 0], [2, 0], [2, 2], [1, -1], [0, 2]]]
+    doc["domains"][1]["parts"] = [{"tag": t, "n": 1}
+                                  for t in ("D", "N", "C", "N", "N")]
+    path = tmp_path / "huge.yaml"
+    path.write_text(yaml.safe_dump(doc))
+    assert main(["run", str(path), "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err.strip()
+    assert "polyline self-intersects" in err
     assert "\n" not in err
 
 

@@ -45,6 +45,13 @@ def stacked_system(nA=3, nB=3, top_tag="N"):
     return pair, im
 
 
+def run_records(*args, **kwargs):
+    """The accepted records of a run, collected as it streams them."""
+    records = []
+    assert run(*args, on_step=records.append, **kwargs) is records[-1]
+    return records
+
+
 def top_pressure_vector(im, value):
     ddA = im.layout.domains[0]
     meshA = im.pair.mesh_A
@@ -121,7 +128,7 @@ def test_zero_load_rest():
     lp = LoadProgram(times=[0.0, 1.0],
                      g_D=[None, np.zeros((2, 2 * pair.mesh_B.n_nodes))],
                      f_N=[None, None])
-    recs = run(im, LAW, chi=1e-3, loads=lp, t_end=0.01, tau=1e-3)
+    recs = run_records(im, LAW, chi=1e-3, loads=lp, t_end=0.01, tau=1e-3)
     assert len(recs) == 10
     for r in recs:
         assert np.abs(r.z.z_n).max() == 0.0
@@ -137,7 +144,7 @@ def test_compression_step_physics():
     pair, im = stacked_system()
     lp = pressure_ramp(im, f, t_ramp=5e-3, t_end=1e-2)
     chi, tau = 1e-3, 1e-3
-    recs = run(im, LAW, chi=chi, loads=lp, t_end=1e-2, tau=tau)
+    recs = run_records(im, LAW, chi=chi, loads=lp, t_end=1e-2, tau=tau)
     last = recs[-1]
     # viscous memory has decayed: tractions transmit the applied pressure
     # (nodally within discretization error, exactly as a resultant)
@@ -187,7 +194,7 @@ def test_chi_zero_degenerate_recursion():
 def test_ledger_consistency():
     pair, im = stacked_system()
     lp = pressure_ramp(im, -0.5, t_ramp=5e-3, t_end=1e-2)
-    recs = run(im, LAW, chi=1e-3, loads=lp, t_end=1e-2, tau=1e-3)
+    recs = run_records(im, LAW, chi=1e-3, loads=lp, t_end=1e-2, tau=1e-3)
     led = None
     state_stored = recs[-1].stored
     # stored(T) - stored(0) + dissipated - work = -sum(delta) by construction;
@@ -215,7 +222,7 @@ def test_dirichlet_squeeze_lift_terms():
                      g_D=[np.stack([0 * g1, g1, g1]),
                           np.zeros((3, 2 * pair.mesh_B.n_nodes))],
                      f_N=[None, None])
-    recs = run(im, LAW, chi=1e-3, loads=lp, t_end=1e-2, tau=1e-3)
+    recs = run_records(im, LAW, chi=1e-3, loads=lp, t_end=1e-2, tau=1e-3)
     last = recs[-1]
     assert last.p_n.min() < -1e-3  # contact is engaged in compression
     assert any(abs(r.residuum.work_mixed) > 0 for r in recs)
@@ -264,7 +271,7 @@ def test_no_load_independent_rebuild_per_step(monkeypatch):
     assert state.k == 4 and np.any(state.s)
     im.Mg = Mg
     assert calls == dict.fromkeys(calls, 0)
-    recs = run(im, LAW, chi=1e-3, loads=lp, t_end=5e-3, tau=1e-3)
+    recs = run_records(im, LAW, chi=1e-3, loads=lp, t_end=5e-3, tau=1e-3)
     assert len(recs) == 5
     assert calls == {"DomainDof": 0, "contact_mass": 1, "hessian": 1,
                      "SteklovOperator": 1, "solve_tbvp": 0, "solve": 1}
@@ -280,8 +287,8 @@ def test_adaptive_run_respects_epsilon():
                           np.zeros((3, 2 * pair.mesh_B.n_nodes))],
                      f_N=[None, None])
     eps = 1e-7
-    recs = run(im, LAW, chi=1e-3, loads=lp, t_end=1e-2, tau=1e-3,
-               tau_min=1e-6, tau_max=2e-3, eps=eps)
+    recs = run_records(im, LAW, chi=1e-3, loads=lp, t_end=1e-2, tau=1e-3,
+                       tau_min=1e-6, tau_max=2e-3, eps=eps)
     assert recs[-1].t == pytest.approx(1e-2, rel=1e-9)
     for r in recs:
         assert (r.residuum.delta <= eps
@@ -296,8 +303,8 @@ def test_run_keeps_the_record_step_returns(monkeypatch):
     keeps the accepted ones as they are, and each starts the next step.
     Slip flags compare with the previous kept record (rest before the
     first) and tractions are those of the record's fictitious state.  The
-    QP of an attempt from a record with an active set is solved from that
-    candidate: at most a handful fall back to MPRGP, and every accepted y
+    QP of an attempt from a record with an active set is started from that
+    set: at most a handful need a working-set change, and every accepted y
     meets the KKT conditions to roundoff."""
     from contactbem import evolve
 
@@ -323,8 +330,8 @@ def test_run_keeps_the_record_step_returns(monkeypatch):
 
     monkeypatch.setattr(evolve, "step", recorded)
     monkeypatch.setattr(evolve, "mprgp_solve", solved)
-    recs = run(im, law, chi=1e-3, loads=lp, t_end=1e-2, tau=1e-3,
-               tau_min=1e-6, tau_max=2e-3, eps=eps)
+    recs = run_records(im, law, chi=1e-3, loads=lp, t_end=1e-2, tau=1e-3,
+                       tau_min=1e-6, tau_max=2e-3, eps=eps)
     assert all(isinstance(a, StepRecord) for a in attempts)
     kept = [any(a is r for r in recs) for a in attempts]
     accepted = [a for a, k in zip(attempts, kept) if k]
@@ -345,9 +352,9 @@ def test_run_keeps_the_record_step_returns(monkeypatch):
         prev_zt = rec.z.z_t
     slips = [bool(rec.slip.any()) for rec in recs]
     assert any(slips) and not all(slips)  # the run both slides and sticks
-    fallbacks = [a.qp_iterations > 0 for a, state in zip(attempts, inputs)
-                 if state.active is not None]
-    assert len(fallbacks) >= 10 and sum(fallbacks) <= 2
+    changed = [a.qp_iterations > 0 for a, state in zip(attempts, inputs)
+               if state.active is not None]
+    assert len(changed) >= 10 and sum(changed) <= 2
     for rec, p in zip(recs, [p for p, k in zip(qps, kept) if k]):
         g = p.A @ rec.y - p.b
         y_max = np.abs(rec.y).max()
@@ -359,8 +366,8 @@ def test_run_keeps_the_record_step_returns(monkeypatch):
 
 def test_qp_norm_estimated_once_per_step_size(monkeypatch):
     """The quadratic part of the step QP depends only on the step size: an
-    adaptive run that repeats step sizes scales it and takes its norm once
-    per distinct size, not once per attempted step."""
+    adaptive run that repeats step sizes builds it once per distinct size,
+    not once per attempted step (a cached part is the same array)."""
     from contactbem import evolve, qp
 
     pair, im = stacked_system(top_tag="D")
@@ -368,23 +375,24 @@ def test_qp_norm_estimated_once_per_step_size(monkeypatch):
     g1[1::2] = -5e-4
     lp = LoadProgram(times=[0.0, 5e-3, 1e-2],
                      g_D=[np.stack([0 * g1, g1, g1]), None], f_N=[None, None])
-    taus, norms = [], []
-    step_, jacobi_scaling = evolve.step, qp.jacobi_scaling
+    taus, parts = [], []
+    step_, quadratic_part = evolve.step, qp.quadratic_part
 
     def counted_step(*args, **kwargs):
         taus.append(args[5])
         return step_(*args, **kwargs)
 
-    def counted_scaling(*args, **kwargs):
-        norms.append(len(args[0]))
-        return jacobi_scaling(*args, **kwargs)
+    def counted_part(*args, **kwargs):
+        parts.append(quadratic_part(*args, **kwargs))
+        return parts[-1]
 
     monkeypatch.setattr(evolve, "step", counted_step)
-    monkeypatch.setattr(qp, "jacobi_scaling", counted_scaling)
+    monkeypatch.setattr(qp, "quadratic_part", counted_part)
     run(im, LAW, chi=1e-3, loads=lp, t_end=1e-2, tau=1e-3, tau_min=1e-6,
         tau_max=2e-3, eps=1e-7)
     assert len(taus) > len(set(taus)) > 1
-    assert len(norms) == len(set(taus))
+    assert len(parts) == len(taus)
+    assert len({id(A) for A in parts}) == len(set(taus))
 
 
 def test_contact_traction_extraction_constant_state():

@@ -68,11 +68,22 @@ def test_self_intersection_rejected():
     # consecutive edges fold back on each other
     ([(0, 0), (2, 0), (1, 0), (1, 1)], "folds back"),
     ([(0, 0), (1, 0), (1, 0), (0, 1)], "segment 1: zero length"),
+    # a crossing near the float limit, where raw orientation products overflow
+    ([(0, 0), (2e155, 0), (2e155, 2e155), (1e155, -1e155), (0, 2e155)],
+     "self-intersects"),
+    ([(-1e308, 0), (1e308, 0), (0, 1e308)], "extent inf is not finite"),
 ])
 def test_touching_polyline_rejected(poly, match):
     spec = [{"tag": "D", "n": 1}] * len(poly)
     with pytest.raises(MeshError, match=match):
         build_mesh(poly, spec)
+
+
+def test_valid_polygon_accepted_at_any_scale():
+    """The closure, orientation and crossing tests run at unit extent."""
+    house = np.array([(0, 0), (2, 0), (2, 2), (1, 3), (0, 2)], dtype=float)
+    for scale in (1e-150, 1.0, 1e150):
+        build_mesh(scale * house, [{"tag": "D", "n": 1}] * 5)
 
 
 def test_dirichlet_required_unless_floating_contact():

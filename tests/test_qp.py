@@ -1,20 +1,13 @@
-import dataclasses
 import itertools
 
 import numpy as np
 import pytest
 
+from contactbem import qp
 from contactbem.assembly import assemble, known_data_vector
 from contactbem.contact import ContactLaw, GapState, incremental_energy, y_to_awb
 from contactbem.mesh import Material, build_mesh, pair_contacts
-from contactbem.qp import (
-    QPError,
-    QPProblem,
-    _active_set_solve,
-    build_qp,
-    jacobi_scaling,
-    mprgp_solve,
-)
+from contactbem.qp import QPError, QPProblem, build_qp, solve_qp
 from contactbem.steklov import SteklovOperator
 
 MAT = Material(young_modulus=200.0, poisson_ratio=0.3)
@@ -134,28 +127,10 @@ def test_objective_equals_incremental_energy():
         assert p.objective(y) == pytest.approx(e, rel=1e-9, abs=1e-16)
 
 
-def test_cached_norm_reproduces_recomputed_norm():
-    """MPRGP with the scaled matrix and norm build_qp caches per step size
-    takes exactly the iterates of a solve that builds them itself."""
-    pair, op, data, d = stacked_op(nA=3, nB=3)
-    rng = np.random.default_rng(5)
-    n = pair.n_master_nodes
-    z_prev = GapState(z_t=rng.normal(size=n) * 1e-4,
-                      z_n=-np.abs(rng.normal(size=n)) * 1e-4)
-    p = build_qp(op, d, LAW, tau=1e-3, chi=1e-3, z_prev=z_prev)
-    assert p.scaled is not None
-    for y0 in (None, p.xi + 1e-4):
-        cached = mprgp_solve(p, y0=y0)
-        fresh = mprgp_solve(dataclasses.replace(p, scaled=None), y0=y0)
-        assert np.array_equal(cached.y, fresh.y)
-        assert cached.iterations == fresh.iterations
-        assert cached.n_backsolves == fresh.n_backsolves
-
-
 def test_1d_clamped_minimum():
     p = QPProblem(A=np.eye(1), b=np.array([3.0]),
                   xi=np.array([5.0]))
-    sol = mprgp_solve(p, y0=np.array([9.0]))
+    sol = solve_qp(p)
     assert sol.y[0] == pytest.approx(5.0, abs=1e-12)
     assert sol.active[0]
 
@@ -164,7 +139,7 @@ def test_unconstrained_matches_linear_solve():
     n = 9
     p, A = random_problem(RNG, n)
     p.xi = np.full(n, -1e10)
-    sol = mprgp_solve(p, rtol=1e-12)
+    sol = solve_qp(p)
     assert np.allclose(sol.y, np.linalg.solve(A, p.b), atol=1e-8)
     assert not sol.active.any()
 
@@ -174,25 +149,10 @@ def test_random_instances_match_oracle(n):
     for k in range(15):
         rng = np.random.default_rng(100 * n + k)
         p, A = random_problem(rng, n)
-        sol = mprgp_solve(p, rtol=1e-10)
+        sol = solve_qp(p)
         y_ref = oracle_solve(A, p.b, p.xi)
         scale = np.abs(y_ref).max() + 1.0
-        assert np.abs(sol.y - y_ref).max() <= 1e-8 * scale
-
-
-def test_objective_monotone_and_kkt():
-    rng = np.random.default_rng(42)
-    p, A = random_problem(rng, 10)
-    tel = []
-    sol = mprgp_solve(p, rtol=1e-10, telemetry=tel)
-    vals = [t[3] for t in tel]
-    scale = abs(vals[0]) + 1.0
-    assert all(v2 <= v1 + 1e-12 * scale for v1, v2 in zip(vals, vals[1:]))
-    g = A @ sol.y - p.b
-    gs = np.abs(g).max() + 1.0
-    assert np.all(sol.y >= p.xi - 1e-12)
-    assert np.abs(g[~sol.active]).max(initial=0.0) <= 1e-8 * gs
-    assert g[sol.active].min(initial=0.0) >= -1e-8 * gs
+        assert np.abs(sol.y - y_ref).max() <= 1e-12 * scale
 
 
 def test_semidefinite_alpha_direction_handled():
@@ -202,20 +162,59 @@ def test_semidefinite_alpha_direction_handled():
     n_c = pair.n_master_nodes
     z = GapState(z_t=np.zeros(n_c), z_n=np.full(n_c, -5e-5))
     p = build_qp(op, d, LAW, tau=1e-3, chi=1e-3, z_prev=z)
-    sol = mprgp_solve(p, rtol=1e-9)
+    sol = solve_qp(p)
     alpha, beta, w_t, w_n = y_to_awb(sol.y)
     # slip magnitude tight against |w_t - z_t| at the optimum
     assert np.abs(alpha - np.abs(w_t - z.z_t)).max() <= 1e-8 * (
         np.abs(alpha).max() + 1e-12)
 
 
-def test_iteration_cap_raises():
+def test_iteration_cap_raises(monkeypatch):
+    """The cap on working-set changes raises QPError; at cap 0 any problem
+    whose start set is not optimal fails."""
     p, A = random_problem(np.random.default_rng(3), 6)
-    with pytest.raises(QPError, match="iterations"):
-        mprgp_solve(p, rtol=1e-14, max_iter=1)
+    start = np.ones(6, bool)
+    assert solve_qp(p, active=start).iterations > 0
+    monkeypatch.setattr(qp, "CHANGES_PER_DIM", 0)
+    with pytest.raises(QPError, match="working-set changes"):
+        solve_qp(p, active=start)
 
 
-# -- candidate active sets ------------------------------------------------------
+def kkt_violation(p, sol):
+    """Largest violation of y >= xi and of the multiplier signs of the
+    returned active set, relative to the size of y and of the gradient."""
+    g = p.A @ sol.y - p.b
+    y_max = np.abs(sol.y).max()
+    g_max = np.abs(p.A).max() * y_max + np.abs(p.b).max()
+    return max((p.xi - sol.y).max() / y_max,
+               np.abs(g[~sol.active]).max(initial=0.0) / g_max,
+               -g[sol.active].min(initial=0.0) / g_max)
+
+
+def test_random_contact_qps_meet_kkt():
+    """Contact QPs of random gap states, friction weights (zero at some
+    nodes), step sizes and start sets are solved to KKT at roundoff, with
+    every slip magnitude tight."""
+    pair, op, _, d = stacked_op(nA=3, nB=3)
+    n = pair.n_master_nodes
+    worst = 0.0
+    for k in range(40):
+        rng = np.random.default_rng(700 + k)
+        z_n = rng.normal(size=n) * 1e-4
+        z_n[rng.random(n) < 0.3] = 0.0
+        z = GapState(z_t=rng.normal(size=n) * 1e-4, z_n=z_n)
+        tau = 10.0 ** rng.uniform(-4, -2)
+        p = build_qp(op, d * rng.uniform(0.1, 10.0), LAW, tau, 1e-3, z)
+        start = None if k % 2 else rng.random(p.dim) < 0.5
+        sol = solve_qp(p, active=start)
+        worst = max(worst, kkt_violation(p, sol))
+        alpha, _, w_t, _ = y_to_awb(sol.y)
+        assert np.abs(alpha - np.abs(w_t - z.z_t)).max() <= 1e-14 * (
+            np.abs(sol.y).max())
+    assert worst <= 1e-13
+
+
+# -- start sets -----------------------------------------------------------------
 
 def active_of(y, xi):
     """The oracle puts active components exactly on their bounds."""
@@ -223,21 +222,21 @@ def active_of(y, xi):
 
 
 def test_true_active_set_solves_without_mprgp():
-    """The optimum's own active set as candidate returns the enumeration
-    oracle's solution to roundoff, with no MPRGP iteration."""
+    """The optimum's own active set as the start set returns the enumeration
+    oracle's solution to roundoff in one solve, with no working-set
+    change."""
     for k in range(12):
         p, A = random_problem(np.random.default_rng(300 + k), 8)
         y_ref = oracle_solve(A, p.b, p.xi)
-        sol = mprgp_solve(p, active=active_of(y_ref, p.xi))
-        assert sol.iterations == 0, k
+        sol = solve_qp(p, active=active_of(y_ref, p.xi))
+        assert sol.iterations == 0 and sol.n_backsolves == 1, k
         assert np.abs(sol.y - y_ref).max() <= 1e-12 * (np.abs(y_ref).max() + 1)
 
 
 def test_wrong_candidate_is_corrected_or_falls_back():
-    """A candidate with one index flipped, or all free, or all active, ends
-    at the oracle's solution, either by active-set corrections alone or by
-    the MPRGP fallback; the corrections alone fix most single flips."""
-    corrected = flips = 0
+    """A start set with one index flipped, or all free, or all active, ends
+    at the oracle's solution and its active set, by working-set changes
+    alone."""
     for k in range(12):
         p, A = random_problem(np.random.default_rng(400 + k), 8)
         y_ref = oracle_solve(A, p.b, p.xi)
@@ -247,20 +246,20 @@ def test_wrong_candidate_is_corrected_or_falls_back():
             cands.append(true.copy())
             cands[-1][i] = ~true[i]
         for j, cand in enumerate(cands):
-            sol = mprgp_solve(p, active=cand)
+            sol = solve_qp(p, active=cand)
             assert np.abs(sol.y - y_ref).max() <= 1e-12 * (
                 np.abs(y_ref).max() + 1), (k, j)
-            flips += j >= 2
-            corrected += j >= 2 and sol.iterations == 0
-    assert corrected >= 0.9 * flips
+            assert np.array_equal(sol.active, true), (k, j)
+            assert sol.iterations > 0, (k, j)
 
 
 def test_zero_weight_slip_pair_is_pinned_and_made_tight():
     """Where the friction weight is zero (beta_prev = 0 at a node and its
     neighbours) the slip magnitude alpha is a null direction of both A and
-    the objective.  A candidate that frees both y1 and y2 there is solved
-    with alpha pinned, in one active set and no MPRGP iteration, and alpha
-    comes back tight, alpha = |w_t - z_t|, at a tight MPRGP solution."""
+    the objective.  A start set that frees both y1 and y2 there is solved
+    with alpha pinned: the pinned solve crosses a bound of the pair, that
+    side joins the working set, and the next solve is the optimum, with
+    alpha tight, alpha = |w_t - z_t|."""
     pair, op, _, d = stacked_op()
     n = pair.n_master_nodes
     z_n = np.full(n, -1e-4)
@@ -269,49 +268,14 @@ def test_zero_weight_slip_pair_is_pinned_and_made_tight():
     p = build_qp(op, d, LAW, tau=1e-3, chi=1e-3, z_prev=z)
     flat = p.b[:n] + p.b[n:2 * n] == 0.0
     assert flat[0] and not flat[1:].any()
-    ref = mprgp_solve(p, rtol=1e-12)
+    ref = solve_qp(p)
+    assert ref.active[0] != ref.active[n]
     cand = ref.active.copy()
     cand[[0, n]] = False
-    sol = mprgp_solve(p, active=cand)
-    assert sol.iterations == 0
-    assert sol.n_backsolves == 2  # one active set: right side and gradient
+    sol = solve_qp(p, active=cand)
+    assert sol.iterations == 1 and sol.n_backsolves == 2
+    assert np.array_equal(sol.active, ref.active)
     alpha, beta, w_t, w_n = y_to_awb(sol.y)
     scale = np.abs(sol.y).max()
     assert np.abs(alpha - np.abs(w_t - z.z_t)).max() <= 1e-14 * scale
     assert np.abs(sol.y - ref.y).max() <= 1e-12 * scale
-
-
-def test_mprgp_iterate_is_finished_exactly():
-    """Without a candidate, MPRGP stops at rtol 1e-8 on a contact QP, and
-    the active-set corrections from its active set then meet the KKT
-    conditions to roundoff (MPRGP's own iterate is off by about 3e-7)."""
-    pair, op, _, d = stacked_op(nA=3, nB=3)
-    rng = np.random.default_rng(5)
-    n = pair.n_master_nodes
-    z_prev = GapState(z_t=rng.normal(size=n) * 1e-4,
-                      z_n=-np.abs(rng.normal(size=n)) * 1e-4)
-    p = build_qp(op, d, LAW, tau=1e-3, chi=1e-3, z_prev=z_prev)
-    sol = mprgp_solve(p)
-    g = (p.A @ sol.y - p.b) / np.abs(p.b).max()
-    assert sol.iterations > 0
-    assert np.abs(g[~sol.active]).max() <= 1e-14
-    assert g[sol.active].min() >= -1e-14
-
-
-def test_infeasible_candidate_solve_is_rejected():
-    """When the corrections stop at their cap with a component below its
-    bound (while the projected gradient is already small), the candidate
-    is rejected and MPRGP solves the problem."""
-    rng = np.random.default_rng(380)
-    n = rng.integers(2, 7)
-    B = rng.normal(size=(n, n))
-    A = B @ B.T + 0.1 * np.eye(n)
-    p = QPProblem(A=A, b=rng.normal(size=n), xi=rng.normal(size=n) * 0.5)
-    s, A_hat, _ = jacobi_scaling(A)
-    y_hat = _active_set_solve(A_hat, p.b / s, p.xi * s, np.zeros(n, bool))[0]
-    assert np.any(y_hat < p.xi * s)
-    sol = mprgp_solve(p, active=np.zeros(n, bool), rtol=1e-12)
-    assert sol.iterations > 0
-    y_ref = oracle_solve(A, p.b, p.xi)
-    assert np.all(sol.y >= p.xi)
-    assert np.abs(sol.y - y_ref).max() <= 1e-12 * (np.abs(y_ref).max() + 1)

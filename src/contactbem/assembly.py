@@ -27,12 +27,11 @@ from .mesh import (
     BoundaryMesh,
     ContactPair,
     Material,
-    element_frame,
+    p1_mass,
+    scatter,
 )
 
 CORNER_TOL = 1e-9
-_GX2 = np.array([0.5 - 0.5 / np.sqrt(3.0), 0.5 + 0.5 / np.sqrt(3.0)])
-_GW2 = np.array([0.5, 0.5])
 
 
 class AssemblyError(RuntimeError):
@@ -66,20 +65,16 @@ class DomainDof:
         mesh = self.mesh
         m = mesh.n_elements
         tags = mesh.part_tag
-        # merge decision per shared mesh node between consecutive elements
+        # merge decision per shared mesh node between consecutive elements:
+        # the same tag and no geometric corner
+        prev = np.roll(np.arange(m), 1)
+        tp, te = mesh.tangents[prev], mesh.tangents
+        merged_with_prev = ((mesh.elements[prev, 1] == mesh.elements[:, 0])
+                            & (np.array(tags)[prev] == np.array(tags))
+                            & (abs(tp[:, 0] * te[:, 1] - tp[:, 1] * te[:, 0])
+                               <= CORNER_TOL)
+                            & ((tp * te).sum(1) >= 0))
         self.phi_of = np.zeros((m, 2), dtype=np.int64)
-        merged_with_prev = np.zeros(m, dtype=bool)
-        frames = [element_frame(mesh, e) for e in range(m)]
-        for e in range(m):
-            prev = (e - 1) % m
-            if mesh.elements[prev][1] != mesh.elements[e][0]:
-                continue
-            if tags[prev] != tags[e]:
-                continue
-            tp, te = frames[prev][0], frames[e][0]
-            if abs(tp[0] * te[1] - tp[1] * te[0]) > CORNER_TOL or (tp @ te) < 0:
-                continue  # geometric corner
-            merged_with_prev[e] = True
         nid = 0
         self.phi_tag = []
         for e in range(m):
@@ -140,23 +135,6 @@ class DomainDof:
         return np.array([2 * a, 2 * a + 1, 2 * b, 2 * b + 1])
 
 
-def _element_mass_block(L: float) -> np.ndarray:
-    M = np.zeros((4, 4))
-    for m in range(2):
-        for n in range(2):
-            v = L / 3.0 if m == n else L / 6.0
-            M[2 * m, 2 * n] = v
-            M[2 * m + 1, 2 * n + 1] = v
-    return M
-
-
-def _scatter(rows: np.ndarray, cols: np.ndarray, blocks: np.ndarray, shape) -> np.ndarray:
-    """Dense matrix summing blocks[...] into (rows[...], cols[...]), in order."""
-    flat = np.bincount((rows * shape[1] + cols).ravel(), weights=blocks.ravel(),
-                       minlength=shape[0] * shape[1])
-    return flat.reshape(shape)
-
-
 def _domain_matrices(dd: DomainDof):
     """Dense U (phi x phi), T (phi x psi), S (psi x psi), M (phi x psi)."""
     mesh = dd.mesh
@@ -169,36 +147,20 @@ def _domain_matrices(dd: DomainDof):
     # pair blocks (i, j, a, b) land at (dofs of i)[a], (dofs of j)[b]
     rows_F, rows_P = RI[:, None, :, None], PI[:, None, :, None]
     cols_F, cols_P = RI[None, :, None, :], PI[None, :, None, :]
-    Ug = _scatter(rows_F, cols_F, U, (nF, nF))
-    Tg = _scatter(rows_F, cols_P, T, (nF, nP))
-    Sg = _scatter(rows_P, cols_P, S, (nP, nP))
-    Ls = np.array([element_frame(mesh, e)[2] for e in range(m)])
-    Mg = _scatter(RI[:, :, None], PI[:, None, :],
-                  np.array([_element_mass_block(L) for L in Ls]), (nF, nP))
+    Ug = scatter(rows_F, cols_F, U, (nF, nF))
+    Tg = scatter(rows_F, cols_P, T, (nF, nP))
+    Sg = scatter(rows_P, cols_P, S, (nP, nP))
+    Mg = np.kron(p1_mass(mesh.lengths, dd.phi_of, mesh.elements,
+                         (dd.n_phi, dd.n_psi)), np.eye(2))
     return Ug, Tg, Sg, Mg
 
 
 def _mortar_mass(pair: ContactPair, dd_A: DomainDof, dd_B: DomainDof) -> np.ndarray:
     """Cross mass M^AB: rows A-contact phi dofs, cols B psi dofs."""
-    M = np.zeros((2 * dd_A.n_phi, 2 * dd_B.n_psi))
-    for eA, eB, s0, s1 in pair.overlap_map:
-        a0, a1 = pair.span_A[int(eA)]
-        b0, b1 = pair.span_B[int(eB)]
-        phiA = dd_A.phi_of[eA]
-        psiB = pair.mesh_B.elements[eB]
-        for g, wgt in zip(_GX2, _GW2):
-            s = s0 + g * (s1 - s0)
-            tA = (s - a0) / (a1 - a0)
-            tB = (s - b0) / (b1 - b0)
-            shA = (1.0 - tA, tA)
-            shB = (1.0 - tB, tB)
-            w = wgt * (s1 - s0)
-            for mm in range(2):
-                for nn in range(2):
-                    v = w * shA[mm] * shB[nn]
-                    for k in range(2):
-                        M[2 * phiA[mm] + k, 2 * psiB[nn] + k] += v
-    return M
+    eA, eB = pair.pieces.T
+    M = p1_mass(np.diff(pair.breaks), dd_A.phi_of[eA], pair.mesh_B.elements[eB],
+                (dd_A.n_phi, dd_B.n_psi), pair.shapes_A, pair.shapes_B)
+    return np.kron(M, np.eye(2))
 
 
 @dataclass

@@ -28,7 +28,8 @@ from .assembly import AssemblyError, assemble, geometry_hash
 from .contact import ContactError, ContactLaw
 from .evolve import EvolveError, LoadProgram, StepRecord, run
 from .kernels import KernelError
-from .mesh import VALID_TAGS, Material, MeshError, build_mesh, pair_contacts
+from .mesh import (VALID_TAGS, Material, MeshError, build_mesh, chain_nodes,
+                   pair_contacts)
 from .qp import QPError
 from .steklov import SteklovError
 
@@ -201,7 +202,7 @@ def parse_scenario(doc) -> Scenario:
         rd = _mapping(rd, p)
         mat_raw = _mapping(_take(rd, "material", p), f"{p}.material")
         E = _number(_take(mat_raw, "E", f"{p}.material"), f"{p}.material.E",
-                    lo=1e-12)
+                    lo=1e-12, hi=1e12)
         nu = _number(_take(mat_raw, "nu", f"{p}.material"), f"{p}.material.nu",
                      lo=0.0, hi=0.5 - 1e-12)
         _done(mat_raw, f"{p}.material")
@@ -462,28 +463,12 @@ PRESETS = {
 
 # -- system construction ------------------------------------------------------
 
-def _segment_elements(mesh, polyline, seg):
-    """Elements whose midpoints lie on polyline segment seg."""
-    poly = np.asarray(polyline, dtype=float)
-    if not 0 <= seg < len(poly):
+def _segment_elements(mesh, n_segments, seg):
+    """Elements meshed from polyline segment seg."""
+    if not 0 <= seg < n_segments:
         raise ConfigError(f"load references segment {seg}; polyline has "
-                          f"{len(poly)} segments")
-    a = poly[seg]
-    b = poly[(seg + 1) % len(poly)]
-    ab = b - a
-    L2 = float(ab @ ab)
-    out = []
-    for e in range(mesh.n_elements):
-        mid = 0.5 * (mesh.nodes[mesh.elements[e][0]]
-                     + mesh.nodes[mesh.elements[e][1]])
-        t = float((mid - a) @ ab) / L2
-        if -1e-9 <= t <= 1 + 1e-9:
-            d = mid - (a + t * ab)
-            if float(d @ d) <= 1e-16 * max(L2, 1.0):
-                out.append(e)
-    if not out:
-        raise ConfigError(f"load references empty segment {seg}")
-    return out
+                          f"{n_segments} segments")
+    return np.flatnonzero(mesh.segment == seg)
 
 
 def _reject_dropped(entry, unknown, path, quantity):
@@ -518,7 +503,8 @@ def build_system(sc: Scenario) -> BuiltSystem:
     f_tabs = [np.zeros((m, 2 * dd.n_phi)) for dd in im.layout.domains]
     for i, entry in enumerate(sc.dirichlet_loads):
         d, mesh = entry["domain"], meshes[entry["domain"]]
-        els = _segment_elements(mesh, sc.domains[d].polyline, entry["segment"])
+        els = _segment_elements(mesh, len(sc.domains[d].polyline),
+                                entry["segment"])
         dofs = 2 * np.unique(mesh.elements[els])[:, None] + np.arange(2)
         _reject_dropped(entry, ~im.layout.domains[d].disp_known[dofs],
                         f"loads.dirichlet[{i}]", "displacement")
@@ -526,7 +512,7 @@ def build_system(sc: Scenario) -> BuiltSystem:
     for i, entry in enumerate(sc.neumann_loads):
         d = entry["domain"]
         dd = im.layout.domains[d]
-        els = _segment_elements(meshes[d], sc.domains[d].polyline,
+        els = _segment_elements(meshes[d], len(sc.domains[d].polyline),
                                 entry["segment"])
         # (x, y) traction dofs at both ends of every element
         dofs = np.reshape([dd.phi_dofs_of_element(e) for e in els], (-1, 2))
@@ -565,13 +551,8 @@ def energy_row(rec):
 
 
 def _outline(mesh, disp=None, mag=0.0):
-    pts = mesh.nodes.copy()
-    if disp is not None:
-        pts = pts + mag * disp.reshape(-1, 2)
-    order = [mesh.elements[0][0]]
-    for e in range(mesh.n_elements):
-        order.append(mesh.elements[e][1])
-    return pts[order]
+    pts = mesh.nodes if disp is None else mesh.nodes + mag * disp.reshape(-1, 2)
+    return pts[chain_nodes(mesh, np.arange(mesh.n_elements))]
 
 
 def _svg_path(pts, sx, sy, ox, oy):

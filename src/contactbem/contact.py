@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .mesh import ContactPair, element_frame
+from .mesh import ContactPair, p1_mass
 
 
 class ContactError(ValueError):
@@ -124,17 +124,8 @@ def frame_split(pair: ContactPair, w: np.ndarray):
 def contact_mass(pair: ContactPair) -> np.ndarray:
     """Consistent scalar mass of the master-side contact shapes (n_c x n_c)."""
     n_c = pair.n_master_nodes
-    index = {node: k for k, node in enumerate(pair.nodes_B)}
-    M = np.zeros((n_c, n_c))
-    for e in pair.elements_B:
-        a, b = pair.mesh_B.elements[e]
-        L = element_frame(pair.mesh_B, e)[2]
-        ia, ib = index[a], index[b]
-        M[ia, ia] += L / 3.0
-        M[ib, ib] += L / 3.0
-        M[ia, ib] += L / 6.0
-        M[ib, ia] += L / 6.0
-    return M
+    chain = np.arange(n_c - 1)[:, None] + np.arange(2)  # element ends in nodes_B
+    return p1_mass(pair.mesh_B.lengths[pair.elements_B], chain, chain, (n_c, n_c))
 
 
 # -- incremental functional ---------------------------------------------------

@@ -12,7 +12,7 @@ import numpy as np
 
 from . import _kernels_impl as impl
 from ._kernels_impl import KernelError
-from .mesh import BoundaryMesh, Material, MeshError
+from .mesh import BoundaryMesh, Material
 
 KERNEL_KINDS = ("U", "T", "T*", "S")
 
@@ -79,23 +79,11 @@ def classify_pairs(mesh: BoundaryMesh):
     return kind.reshape(m, m), info.reshape(m, m)
 
 
-def mesh_geometry_arrays(mesh: BoundaryMesh):
-    """Element endpoints (m, 4), lengths (m,) and outward normals (m, 2)."""
-    P = mesh.nodes[mesh.elements].reshape(-1, 4)
-    d = P[:, 2:4] - P[:, 0:2]
-    Ls = np.hypot(d[:, 0], d[:, 1])
-    if np.any(Ls <= 0.0):
-        raise MeshError(f"degenerate element {np.argmax(Ls <= 0.0)}")
-    t = d / Ls[:, None]
-    return P, Ls, np.stack([t[:, 1], -t[:, 0]], 1)
-
-
 def _blocks(mesh: BoundaryMesh, mat: Material, i, j):
     """(U, Tij, Tji, S) of the element pairs (i[k], j[k]), i[k] <= j[k]."""
-    P, Ls, Ns = mesh_geometry_arrays(mesh)
     kind, info = _classify(mesh.elements, i, j)
-    return impl.pair_blocks(P, Ls, Ns, kind, info, i, j,
-                            mat.shear_modulus, mat.poisson_ratio)
+    return impl.pair_blocks(mesh.ends, mesh.lengths, mesh.normals, kind, info,
+                            i, j, mat.shear_modulus, mat.poisson_ratio)
 
 
 def all_pair_blocks(mesh: BoundaryMesh, mat: Material):

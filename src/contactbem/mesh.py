@@ -49,22 +49,42 @@ class Material:
         return self.young_modulus / (2.0 * (1.0 + self.poisson_ratio))
 
 
-
 @dataclass
 class BoundaryMesh:
+    """Straight elements on a node set, with their geometry.
+
+    The element arrays are computed once, at construction: ends (m, 4)
+    holds each element's endpoints [x0 y0 x1 y1], lengths (m,) its length,
+    tangents (m, 2) its unit tangent t and normals (m, 2) its outward
+    normal n = (t2, -t1).
+    """
+
     domain_label: str
     nodes: np.ndarray  # (n, 2)
     elements: np.ndarray  # (m, 2) int, element i runs nodes[e[0]] -> nodes[e[1]]
     part_tag: list  # per element, one of VALID_TAGS
+    segment: np.ndarray  # (m,) int, polyline segment each element was meshed from
+    ends: np.ndarray = field(init=False)
+    lengths: np.ndarray = field(init=False)
+    tangents: np.ndarray = field(init=False)
+    normals: np.ndarray = field(init=False)
 
     def __post_init__(self):
         self.nodes = np.asarray(self.nodes, dtype=float)
         self.elements = np.asarray(self.elements, dtype=np.int64)
-        if len(self.part_tag) != len(self.elements):
-            raise MeshError("one part tag per element required")
+        self.segment = np.asarray(self.segment, dtype=np.int64)
+        if not len(self.part_tag) == len(self.segment) == len(self.elements):
+            raise MeshError("one part tag and segment per element required")
         for t in self.part_tag:
             if t not in VALID_TAGS:
                 raise MeshError(f"unknown part tag {t!r}")
+        self.ends = self.nodes[self.elements].reshape(-1, 4)
+        d = self.ends[:, 2:] - self.ends[:, :2]
+        self.lengths = np.hypot(d[:, 0], d[:, 1])
+        if np.any(self.lengths <= 0.0):
+            raise MeshError(f"degenerate element {np.argmax(self.lengths <= 0.0)}")
+        self.tangents = d / self.lengths[:, None]
+        self.normals = np.stack([self.tangents[:, 1], -self.tangents[:, 0]], 1)
 
     @property
     def n_elements(self) -> int:
@@ -74,25 +94,49 @@ class BoundaryMesh:
     def n_nodes(self) -> int:
         return len(self.nodes)
 
-    def element_indices(self, tag_pred) -> np.ndarray:
-        return np.array(
-            [i for i, t in enumerate(self.part_tag) if tag_pred(t)], dtype=np.int64
-        )
-
     def contact_elements(self) -> np.ndarray:
-        return self.element_indices(lambda t: t == "C")
+        return np.flatnonzero(np.array(self.part_tag) == "C")
 
 
-def element_frame(mesh: BoundaryMesh, e: int):
-    """Unit tangent, outward normal n = (t2, -t1) and length of element e."""
-    a, b = mesh.elements[e]
-    d = mesh.nodes[b] - mesh.nodes[a]
-    length = float(np.hypot(d[0], d[1]))
-    if length <= 0.0:
-        raise MeshError(f"degenerate element {e}")
-    t = d / length
-    n = np.array([t[1], -t[0]])
-    return t, n, length
+def scatter(rows: np.ndarray, cols: np.ndarray, blocks: np.ndarray, shape) -> np.ndarray:
+    """Dense matrix summing blocks[...] into (rows[...], cols[...]), in order."""
+    flat = np.bincount((rows * shape[1] + cols).ravel(), weights=blocks.ravel(),
+                       minlength=shape[0] * shape[1])
+    return flat.reshape(shape)
+
+
+def p1_mass(h, rows, cols, shape, f=np.eye(2), g=np.eye(2)) -> np.ndarray:
+    """Dense scalar mass matrix, sum over intervals k of int f_a g_b.
+
+    Interval k has length h[k] and pairs the test shapes rows[k, a] with
+    the trial shapes cols[k, b], a, b in {0, 1}; f[k, i, a] and g[k, i, b]
+    are their values at the interval's ends i = 0, 1 (by default those of
+    the element's own shapes: shape a is 1 at end a).  The product of two
+    linear functions integrates exactly to
+    h/6 (2 f0 g0 + f0 g1 + f1 g0 + 2 f1 g1); the interval blocks are summed
+    into the matrix in interval order.
+    """
+    f0, f1 = f[..., 0, :, None], f[..., 1, :, None]
+    g0, g1 = g[..., 0, None, :], g[..., 1, None, :]
+    blocks = h[:, None, None] / 6.0 * (2.0 * f0 * g0 + f0 * g1 + f1 * g0
+                                       + 2.0 * f1 * g1)
+    return scatter(rows[:, :, None], cols[:, None, :], blocks, shape)
+
+
+def _dot(u: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """Dot products of stacked 2-vectors, each rounded as u @ v is."""
+    return (u[..., None, :] @ v[..., :, None])[..., 0, 0]
+
+
+def _project(points: np.ndarray, chain: np.ndarray):
+    """Projections of points (n, 2) onto the k segments of the polyline
+    chain (k + 1, 2): the parameter t (n, k) in [0, 1] of each point's
+    nearest point on each segment, and the distance (n, k) to it."""
+    a = chain[:-1]
+    d = chain[1:] - a
+    t = np.clip(_dot(points[:, None] - a, d) / _dot(d, d), 0.0, 1.0)
+    r = points[:, None] - (a + t[..., None] * d)
+    return t, np.sqrt(_dot(r, r))
 
 
 def _signed_area(poly: np.ndarray) -> float:
@@ -108,12 +152,6 @@ def _segments_properly_intersect(p, q, a, b) -> bool:
     d1, d2 = _orient(a, b, p), _orient(a, b, q)
     d3, d4 = _orient(p, q, a), _orient(p, q, b)
     return (d1 * d2 < 0) and (d3 * d4 < 0)
-
-
-def _point_segment_distance(p, a, b) -> float:
-    d = b - a
-    t = np.clip((p - a) @ d / (d @ d), 0.0, 1.0)
-    return float(np.linalg.norm(p - (a + t * d)))
 
 
 def _unit_extent(poly: np.ndarray) -> np.ndarray:
@@ -138,6 +176,7 @@ def _check_simple(poly: np.ndarray, unit: np.ndarray):
         if np.linalg.norm(q - p) <= tol:
             raise MeshError(f"segment {i}: zero length (at most 1e-12 of "
                             f"the polyline's extent)")
+    dist = _project(unit, np.vstack([unit, unit[:1]]))[1]  # [vertex, segment]
     for i in range(m):
         p, q = seg[i]
         for j in range(i + 1, m):
@@ -151,9 +190,8 @@ def _check_simple(poly: np.ndarray, unit: np.ndarray):
                 continue
             if _segments_properly_intersect(p, q, a, b):
                 raise MeshError(f"polyline self-intersects (segments {i} and {j})")
-            for k, (s0, s1) in ((i, seg[j]), ((i + 1) % m, seg[j]),
-                                (j, seg[i]), ((j + 1) % m, seg[i])):
-                if _point_segment_distance(unit[k], s0, s1) <= tol:
+            for k, sk in ((i, j), ((i + 1) % m, j), (j, i), ((j + 1) % m, i)):
+                if dist[k, sk] <= tol:
                     x = poly[k]
                     raise MeshError(
                         f"polyline segments {i} and {j} touch at "
@@ -225,6 +263,7 @@ def build_mesh(
     nodes = []
     elements = []
     tags = []
+    segment = []
     m = len(poly)
     for i in range(m):
         a, b = poly[i], poly[(i + 1) % m]
@@ -258,10 +297,12 @@ def build_mesh(
         for k in range(n):
             elements.append((base + k, base + k + 1))
             tags.append(tag)
+            segment.append(i)
     # close the chain: last element of last segment points at node 0
     elements[-1] = (elements[-1][0], 0)
 
-    mesh = BoundaryMesh(domain_label, np.array(nodes), np.array(elements), tags)
+    mesh = BoundaryMesh(domain_label, np.array(nodes), np.array(elements), tags,
+                        np.array(segment))
 
     has_dirichlet = any(any(TAG_DIRICHLET_MASK[t]) for t in tags)
     has_contact = any(t == "C" for t in tags)
@@ -283,22 +324,27 @@ def build_mesh(
 
 @dataclass
 class ContactPair:
-    """Pairing of the two contact traces; side B is the master surface."""
+    """Pairing of the two contact traces; side B is the master surface.
+
+    The master parameter s is arclength along B's contact chain.  The element
+    ends of both traces cut it into overlap pieces [breaks[k], breaks[k + 1]],
+    each inside one A and one B element.
+    """
 
     mesh_A: BoundaryMesh
     mesh_B: BoundaryMesh
-    elements_A: np.ndarray  # A contact elements ordered along the master curve
-    elements_B: np.ndarray
-    # (element index on A, element index on B, s0, s1) in master arclength
-    overlap_map: list = field(default_factory=list)
-    # master-arclength of each contact element's start/end node (signed span)
-    span_A: dict = field(default_factory=dict)
-    span_B: dict = field(default_factory=dict)
-    # master-side contact displacement nodes, ordered along the curve
-    nodes_B: np.ndarray = None
-    arclength_B: np.ndarray = None  # master arclength of each node in nodes_B
-    normal: np.ndarray = None  # outward normal of B along the contact (unit)
-    tangent: np.ndarray = None
+    elements_A: np.ndarray  # A contact elements, in A's boundary order
+    elements_B: np.ndarray  # B contact elements, in B's boundary order
+    breaks: np.ndarray  # (k + 1,) master arclength of the piece ends, rising
+    pieces: np.ndarray  # (k, 2) the A element and the B element of each piece
+    # (k, 2, 2) values of the two shapes of each piece's A (B) element at
+    # the piece's ends, [piece, end, shape], as p1_mass takes them
+    shapes_A: np.ndarray
+    shapes_B: np.ndarray
+    nodes_B: np.ndarray  # master-side contact displacement nodes, along the chain
+    arclength_B: np.ndarray  # master arclength of each node in nodes_B
+    normal: np.ndarray  # outward normal of B at each node of nodes_B (unit)
+    tangent: np.ndarray
 
     @property
     def n_master_nodes(self) -> int:
@@ -327,103 +373,81 @@ def _contact_chain(mesh: BoundaryMesh):
     return np.array(idx, dtype=np.int64)
 
 
-PAIR_TOL = 1e-9  # relative distance at which the two contact traces match
+# Tolerances of the pairing, relative to the length of B's contact chain:
+PAIR_TOL = 1e-9  # distance at which the two contact traces match
+BREAK_TOL = 1e-12  # gap between two element ends that makes them one break
+
+
+def chain_nodes(mesh: BoundaryMesh, chain: np.ndarray) -> np.ndarray:
+    """Nodes along a chain of consecutive elements: its first element's
+    start, then the end of every element."""
+    return np.append(mesh.elements[chain, 0], mesh.elements[chain[-1], 1])
+
+
+def _shapes(span: np.ndarray, ends: np.ndarray) -> np.ndarray:
+    """Values [piece, end, shape] of the linear shapes of an element with
+    master span (k, 2) at the ends (k, 2) of each piece."""
+    t = (ends - span[:, :1]) / (span[:, 1:] - span[:, :1])
+    return np.stack([1.0 - t, t], -1)
+
+
+def _nodal_mean(v: np.ndarray) -> np.ndarray:
+    """Unit mean of the two chain elements' unit vectors v at each node."""
+    acc = np.zeros((len(v) + 1, 2))
+    acc[:-1] += v
+    acc[1:] += v
+    return acc / np.linalg.norm(acc, axis=1)[:, None]
+
+
+def _holder(span: np.ndarray, mid: np.ndarray) -> np.ndarray:
+    """Chain position of the element whose master span (k, 2) holds each
+    point of mid deepest."""
+    return np.argmin(np.maximum(span.min(1) - mid[:, None],
+                                mid[:, None] - span.max(1)), axis=1)
 
 
 def pair_contacts(mesh_A: BoundaryMesh, mesh_B: BoundaryMesh) -> ContactPair:
     """Match the two contact traces; non-matching subdivisions allowed."""
     chain_A = _contact_chain(mesh_A)
     chain_B = _contact_chain(mesh_B)
-
-    # master parameter: arclength along B's contact chain
-    pts_B = [mesh_B.nodes[mesh_B.elements[chain_B[0]][0]]]
-    for e in chain_B:
-        pts_B.append(mesh_B.nodes[mesh_B.elements[e][1]])
-    pts_B = np.array(pts_B)
-    seg_len = np.linalg.norm(np.diff(pts_B, axis=0), axis=1)
+    nodes_A = chain_nodes(mesh_A, chain_A)
+    nodes_B = chain_nodes(mesh_B, chain_B)
+    seg_len = mesh_B.lengths[chain_B]
     s_B = np.concatenate([[0.0], np.cumsum(seg_len)])
     total = s_B[-1]
-    span_tol = PAIR_TOL * max(1.0, total)
+    tol = PAIR_TOL * total
 
-    def param_of(p):
-        """Arclength of point p on B's chain; error if off the chain."""
-        best = None
-        for k in range(len(pts_B) - 1):
-            a, b = pts_B[k], pts_B[k + 1]
-            d = b - a
-            L2 = d @ d
-            t = np.clip((p - a) @ d / L2, 0.0, 1.0)
-            proj = a + t * d
-            dist = np.linalg.norm(p - proj)
-            s = s_B[k] + t * np.sqrt(L2)
-            if best is None or dist < best[0]:
-                best = (dist, s)
-        if best[0] > span_tol:
-            raise MeshError("contact traces diverge beyond tolerance")
-        return best[1]
-
-    # element intervals in master parameter (A runs opposite to B)
-    iv_A = []
-    span_A = {}
-    for e in chain_A:
-        a, b = mesh_A.elements[e]
-        sa, sb = param_of(mesh_A.nodes[a]), param_of(mesh_A.nodes[b])
-        span_A[int(e)] = (sa, sb)
-        iv_A.append((min(sa, sb), max(sa, sb), e))
-    iv_B = []
-    span_B = {}
-    for e in chain_B:
-        a, b = mesh_B.elements[e]
-        sa, sb = param_of(mesh_B.nodes[a]), param_of(mesh_B.nodes[b])
-        span_B[int(e)] = (sa, sb)
-        iv_B.append((min(sa, sb), max(sa, sb), e))
-    iv_A.sort()
-    iv_B.sort()
-
-    lo_A, hi_A = iv_A[0][0], iv_A[-1][1]
-    lo_B, hi_B = iv_B[0][0], iv_B[-1][1]
-    if abs(lo_A - lo_B) > span_tol or abs(hi_A - hi_B) > span_tol:
+    # master arclength of A's contact nodes: their nearest points on B's chain
+    t, dist = _project(mesh_A.nodes[nodes_A], mesh_B.nodes[nodes_B])
+    k = np.argmin(dist, axis=1)
+    near = np.arange(len(k))
+    if np.any(dist[near, k] > tol):
+        raise MeshError("contact traces diverge beyond tolerance")
+    s_A = s_B[k] + t[near, k] * seg_len[k]
+    if s_A.min() > tol or s_A.max() < total - tol:
         raise MeshError("contact traces do not cover the same curve")
 
-    breaks = sorted(set([round(x, 12) for x, _, _ in iv_A + iv_B] + [round(hi_A, 12)]))
-    overlap = []
-    for s0, s1 in zip(breaks[:-1], breaks[1:]):
-        mid = 0.5 * (s0 + s1)
-        ea = next(e for a0, a1, e in iv_A if a0 - PAIR_TOL <= mid <= a1 + PAIR_TOL)
-        eb = next(e for a0, a1, e in iv_B if a0 - PAIR_TOL <= mid <= a1 + PAIR_TOL)
-        overlap.append((ea, eb, s0, s1))
-    covered = sum(s1 - s0 for _, _, s0, s1 in overlap)
-    if abs(covered - total) > 1e-12 * max(1.0, total):
-        raise MeshError("overlap intervals do not partition the contact curve")
-
-    # master node list along the chain, with frames
-    nodes_B = [mesh_B.elements[chain_B[0]][0]]
-    for e in chain_B:
-        nodes_B.append(mesh_B.elements[e][1])
-    nodes_B = np.array(nodes_B, dtype=np.int64)
-    normals = np.zeros((len(nodes_B), 2))
-    tangents = np.zeros((len(nodes_B), 2))
-    for k, e in enumerate(chain_B):
-        t, n, _ = element_frame(mesh_B, e)
-        normals[k] += n
-        normals[k + 1] += n
-        tangents[k] += t
-        tangents[k + 1] += t
-    normals /= np.linalg.norm(normals, axis=1)[:, None]
-    tangents /= np.linalg.norm(tangents, axis=1)[:, None]
-
-    arclen = np.array([param_of(mesh_B.nodes[n]) for n in nodes_B])
+    # the node arclengths of both traces cut the chain into pieces
+    cuts = np.sort(np.concatenate([s_A, s_B]))
+    breaks = cuts[np.concatenate([[True], np.diff(cuts) > BREAK_TOL * total])]
+    piece_ends = np.stack([breaks[:-1], breaks[1:]], 1)
+    mid = piece_ends.mean(1)
+    # element spans in master arclength (A runs opposite to B)
+    span_A = np.stack([s_A[:-1], s_A[1:]], 1)
+    span_B = np.stack([s_B[:-1], s_B[1:]], 1)
+    ia, ib = _holder(span_A, mid), _holder(span_B, mid)
 
     return ContactPair(
         mesh_A=mesh_A,
         mesh_B=mesh_B,
         elements_A=chain_A,
         elements_B=chain_B,
-        overlap_map=overlap,
-        span_A=span_A,
-        span_B=span_B,
+        breaks=breaks,
+        pieces=np.stack([chain_A[ia], chain_B[ib]], 1),
+        shapes_A=_shapes(span_A[ia], piece_ends),
+        shapes_B=_shapes(span_B[ib], piece_ends),
         nodes_B=nodes_B,
-        arclength_B=arclen,
-        normal=normals,
-        tangent=tangents,
+        arclength_B=s_B,
+        normal=_nodal_mean(mesh_B.normals[chain_B]),
+        tangent=_nodal_mean(mesh_B.tangents[chain_B]),
     )

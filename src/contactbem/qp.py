@@ -141,6 +141,12 @@ def solve_qp(p: QPProblem, active: np.ndarray = None) -> QPSolution:
     QP it depends on rounding.  More than CHANGES_PER_DIM * dim working-set
     changes raise QPError.
 
+    A step that would go uphill is reversed.  Only rounding makes one, as
+    the sign of the huge step along the null direction of a free block that
+    is singular but for rounding.  Taken uphill, it could run off to that
+    size with nothing to block it, or send a component that just left W
+    straight back, pass after pass.
+
     Every slip magnitude of a build_qp problem comes back tight,
     alpha = |w_t - z_t|: a pair with one component in W has it on its
     bound, and a pair with both free is solved at alpha = 0 with
@@ -150,9 +156,10 @@ def solve_qp(p: QPProblem, active: np.ndarray = None) -> QPSolution:
     m = n // 4 if p.slip_pairs else 0
     A, b, xi = p.A, p.b, p.xi
     eps = 1e-12 * np.sqrt(b @ b)
-    start = (A @ xi - b >= -eps) if active is None else active
-    work = start.copy()
     y = xi.copy()
+    g = A @ y - b  # gradient at y
+    start = g >= -eps if active is None else active
+    work = start.copy()
     changes = solves = 0
     while True:
         free = ~work
@@ -164,6 +171,8 @@ def solve_qp(p: QPProblem, active: np.ndarray = None) -> QPSolution:
             raise QPError(f"singular free block after {changes} "
                           f"working-set changes")
         solves += 1
+        if g @ (y_new - y) > 0.0:
+            y_new = 2.0 * y - y_new  # downhill, see the docstring
         cross = np.flatnonzero(free & (y_new < xi))
         if cross.size:
             ratio = (xi - y)[cross] / (y_new - y)[cross]
@@ -171,9 +180,11 @@ def solve_qp(p: QPProblem, active: np.ndarray = None) -> QPSolution:
             y = np.maximum(y + ratio[k] * (y_new - y), xi)
             y[cross[k]] = xi[cross[k]]
             work[cross[k]] = True
+            g = A @ y - b
         else:
             y = y_new
-            lam = np.where(work, A @ y - b, np.inf)  # multipliers on W
+            g = A @ y - b
+            lam = np.where(work, g, np.inf)  # multipliers on W
             j = int(np.argmin(lam))
             if lam[j] >= -eps:
                 break

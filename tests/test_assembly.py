@@ -15,7 +15,6 @@ from contactbem.mesh import (
     Material,
     MeshError,
     build_mesh,
-    element_frame,
     pair_contacts,
 )
 
@@ -120,8 +119,7 @@ def test_assembled_symmetry_mixed_tags():
 def _neumann_data(dd, sig):
     f_N = np.zeros(2 * dd.n_phi)
     mesh = dd.mesh
-    for e in range(mesh.n_elements):
-        _, n, _ = element_frame(mesh, e)
+    for e, n in enumerate(mesh.normals):
         t = sig @ n
         dofs = dd.phi_dofs_of_element(e)
         f_N[dofs[0]], f_N[dofs[1]] = t
@@ -144,8 +142,7 @@ def test_patch_uniaxial_single_domain():
     scale = np.abs(v_ref).max()
     assert np.abs(sol.v[0] - v_ref).max() <= 1e-7 * scale
     # reaction tractions: bottom roller carries -f, left roller nothing
-    for e in range(mesh.n_elements):
-        _, n, _ = element_frame(mesh, e)
+    for e, n in enumerate(mesh.normals):
         t_ref = sig @ n
         dofs = dd.phi_dofs_of_element(e)
         if mesh.part_tag[e] == "NxDy":
@@ -226,7 +223,7 @@ def test_contact_dirichlet_conflict_rejected():
         build_mesh(poly, spec)
     # the same boundary built without the mesher's check fails in assembly
     mesh = BoundaryMesh("A", poly, [(0, 1), (1, 2), (2, 3), (3, 0)],
-                        ["D", "N", "C", "DxNy"])
+                        ["D", "N", "C", "DxNy"], np.arange(4))
     with pytest.raises(AssemblyError, match="contact node carries Dirichlet"):
         DomainDof(mesh, MAT)
 

@@ -125,6 +125,29 @@ def test_neumann_load_lands_on_requested_segment():
     assert np.all(f_end[1] == 0.0)
 
 
+@pytest.mark.parametrize("scale", [1e-9, 1e-8, 1.0, 1e9])
+def test_load_segment_elements_at_any_scale(scale):
+    """A load on segment 0, the layer top, reaches exactly that segment's
+    four elements, whatever the unit of length: no element of the sides
+    next to it, nor of the contact face opposite."""
+    doc = tiny_scenario()
+    layer = doc["domains"][0]
+    layer["polyline"] = [[1, 2], [0, 2], [0, 1], [1, 1]]
+    layer["parts"] = [{"tag": t, "n": 4} for t in ("N", "N", "C", "N")]
+    doc["loads"]["neumann"][0]["segment"] = 0
+    for ds in doc["domains"]:
+        ds["polyline"] = (scale * np.array(ds["polyline"], float)).tolist()
+    system = build_system(parse_scenario(doc))
+    fA = system.loads.f_at(4e-3)[0]
+    dd = system.im.layout.domains[0]
+    loaded = [e for e in range(system.meshes[0].n_elements)
+              if np.any(fA[dd.phi_dofs_of_element(e)])]
+    assert loaded == [0, 1, 2, 3]
+    doc["loads"]["neumann"][0]["segment"] = 4
+    with pytest.raises(ConfigError, match="polyline has 4 segments"):
+        build_system(parse_scenario(doc))
+
+
 def run_collecting(monkeypatch, sc, out_dir):
     """run_scenario's accepted records, collected as the march streams them;
     run_scenario itself returns only the last."""
@@ -397,6 +420,8 @@ MALFORMED_NODES = [
     (("domains", 0, "parts", 0, "n"), 10**30,
      f"domains[0].parts: {10**30 + 28} elements, above the cap of 1000 per "
      "domain"),
+    (("domains", 0, "material", "E"), 1e300,
+     "domains[0].material.E: value 1e+300 above maximum 1000000000000.0"),
 ]
 
 

@@ -20,7 +20,7 @@ from contactbem.evolve import (
     run,
     step,
 )
-from contactbem.mesh import Material, build_mesh, element_frame, pair_contacts
+from contactbem.mesh import Material, build_mesh, pair_contacts
 from contactbem.qp import build_qp
 from contactbem.steklov import SteklovOperator
 
@@ -57,7 +57,7 @@ def top_pressure_vector(im, value):
     meshA = im.pair.mesh_A
     f = np.zeros(2 * ddA.n_phi)
     for e in range(meshA.n_elements):
-        if meshA.part_tag[e] == "N" and element_frame(meshA, e)[1][1] > 0.5:
+        if meshA.part_tag[e] == "N" and meshA.normals[e, 1] > 0.5:
             f[ddA.phi_dofs_of_element(e)[1::2]] = value
     return f
 

@@ -11,7 +11,7 @@ from contactbem.kernels import (
     kelvin_T,
     kelvin_U,
 )
-from contactbem.mesh import BoundaryMesh, Material, build_mesh, element_frame
+from contactbem.mesh import BoundaryMesh, Material, build_mesh
 
 MAT = Material(young_modulus=200.0, poisson_ratio=0.3)
 RNG = np.random.default_rng(42)
@@ -85,8 +85,8 @@ def _oracle_block(mesh, ei, ej, kind, mat):
     aj, bj = mesh.elements[ej]
     p0, p1 = mesh.nodes[ai], mesh.nodes[bi]
     q0, q1 = mesh.nodes[aj], mesh.nodes[bj]
-    _, ni, Li = element_frame(mesh, ei)
-    _, nj, Lj = element_frame(mesh, ej)
+    ni, Li = mesh.normals[ei], mesh.lengths[ei]
+    nj, Lj = mesh.normals[ej], mesh.lengths[ej]
     out = np.zeros((4, 4))
     G, nu = mat.shear_modulus, mat.poisson_ratio
     aD = -G / (2 * np.pi * (1 - nu))
@@ -136,8 +136,8 @@ def _panel_oracle_block(mesh, ei, ej, kind, mat, order, panels=10):
     u = (h * np.arange(panels)[:, None] + 0.5 * h * (g + 1.0)).ravel()
     w = np.tile(0.5 * h * gw, panels)
     (p0, p1), (q0, q1) = mesh.nodes[mesh.elements[[ei, ej]]]
-    _, _, Li = element_frame(mesh, ei)
-    _, nj, Lj = element_frame(mesh, ej)
+    Li = mesh.lengths[ei]
+    nj, Lj = mesh.normals[ej], mesh.lengths[ej]
     x = p0 + u[:, None] * (p1 - p0)  # test points, rows
     y = q0 + u[:, None] * (q1 - q0)  # trial points, columns
     rv = y[None, :, :] - x[:, None, :]
@@ -329,12 +329,12 @@ def test_touching_elements_raise():
     # unit square plus an element whose start node lies on element 0
     nodes = [(0, 0), (2, 0), (2, 2), (0, 2), (1, 0), (1, 1)]
     mesh = BoundaryMesh("A", nodes, [(0, 1), (1, 2), (2, 3), (3, 0), (4, 5)],
-                        ["D"] * 5)
+                        ["D"] * 5, np.arange(5))
     with pytest.raises(KernelError, match="elements 0 and 4"):
         all_pair_blocks(mesh, MAT)
     with pytest.raises(KernelError):
         galerkin_integral(mesh, 4, 0, "U", MAT)
     twice = BoundaryMesh("A", nodes[:4], [(0, 1), (1, 2), (2, 3), (3, 0), (1, 0)],
-                         ["D"] * 5)
+                         ["D"] * 5, np.arange(5))
     with pytest.raises(KernelError, match="elements 0 and 4 overlap"):
         all_pair_blocks(twice, MAT)

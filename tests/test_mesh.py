@@ -2,11 +2,14 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from contactbem.assembly import DomainDof, _mortar_mass
+from contactbem.cli import parse_scenario, preset_conforming
 from contactbem.mesh import (
+    BoundaryMesh,
     Material,
     MeshError,
+    _project,
     build_mesh,
-    element_frame,
     pair_contacts,
 )
 
@@ -38,10 +41,16 @@ def test_unit_square_frames():
     mesh = square()
     assert mesh.n_elements == 4
     assert mesh.n_nodes == 4
-    normals = [element_frame(mesh, e)[1] for e in range(4)]
+    normals = mesh.normals
     expected = [(0, -1), (1, 0), (0, 1), (-1, 0)]
     for n, ref in zip(normals, expected):
         assert np.allclose(n, ref)
+
+
+def test_degenerate_element_rejected():
+    with pytest.raises(MeshError, match="degenerate element 1"):
+        BoundaryMesh("A", [(0, 0), (1, 0), (1, 0)], [(0, 1), (1, 2), (2, 0)],
+                     ["D", "N", "N"], np.arange(3))
 
 
 def test_orientation_rejected():
@@ -112,8 +121,7 @@ def test_closed_normal_sum():
     mesh = square(n=3)
     total = np.zeros(2)
     perim = 0.0
-    for e in range(mesh.n_elements):
-        _, n, L = element_frame(mesh, e)
+    for n, L in zip(mesh.normals, mesh.lengths):
         total += L * n
         perim += L
     assert np.linalg.norm(total) <= 1e-10 * perim
@@ -128,12 +136,9 @@ def test_frame_equivariance(theta):
     spec = [{"tag": "D", "n": 1}] * 4
     m0 = build_mesh(poly, spec)
     m1 = build_mesh(rot, spec)
-    for e in range(4):
-        t0, n0, L0 = element_frame(m0, e)
-        t1, n1, L1 = element_frame(m1, e)
-        assert np.allclose(t1, R @ t0, atol=1e-12)
-        assert np.allclose(n1, R @ n0, atol=1e-12)
-        assert L1 == pytest.approx(L0)
+    assert np.allclose(m1.tangents, m0.tangents @ R.T, atol=1e-12)
+    assert np.allclose(m1.normals, m0.normals @ R.T, atol=1e-12)
+    assert m1.lengths == pytest.approx(m0.lengths)
 
 
 def test_grading_geometric():
@@ -145,7 +150,7 @@ def test_grading_geometric():
         {"tag": "D", "n": 1},
     ]
     mesh = build_mesh(poly, spec)
-    lens = [element_frame(mesh, e)[2] for e in range(8)]
+    lens = mesh.lengths[:8]
     assert lens[0] == pytest.approx(0.1, rel=0.05)
     ratios = np.diff(np.log(lens))
     assert np.allclose(ratios, ratios[0], atol=1e-8)  # geometric progression
@@ -182,21 +187,37 @@ def _stacked_pair(nA, nB):
     return meshA, meshB
 
 
+def test_projection_rounds_as_pointwise_formula():
+    """The array projection of pairing and of the simplicity check gives
+    the per-point formula's values, bit for bit."""
+    rng = np.random.default_rng(3)
+    chain = rng.normal(size=(6, 2)) * 10
+    points = rng.normal(size=(20, 2)) * 10
+    t, dist = _project(points, chain)
+    for i, p in enumerate(points):
+        for k, (a, b) in enumerate(zip(chain[:-1], chain[1:])):
+            d = b - a
+            tk = np.clip((p - a) @ d / (d @ d), 0.0, 1.0)
+            assert t[i, k] == tk
+            assert dist[i, k] == np.linalg.norm(p - (a + tk * d))
+
+
 def test_pair_contacts_matching():
     meshA, meshB = _stacked_pair(10, 10)
     pair = pair_contacts(meshA, meshB)
-    assert len(pair.overlap_map) == 10
-    total = sum(s1 - s0 for _, _, s0, s1 in pair.overlap_map)
+    assert len(pair.pieces) == 10
+    total = np.diff(pair.breaks).sum()
     assert total == pytest.approx(1.0, abs=1e-12)
 
 
 def test_pair_contacts_split_refinement():
     meshA, meshB = _stacked_pair(20, 10)
     pair = pair_contacts(meshA, meshB)
-    assert len(pair.overlap_map) == 20
+    assert len(pair.pieces) == 20
 
 
-def test_pair_contacts_shifted_partitions():
+def _shifted_pair():
+    """B's contact has nodes at x = 1, 0.5, 0; A's at x = 0, 0.7, 1."""
     polyB = [(0, 0), (1, 0), (1, 1), (0, 1)]
     specB = [{"tag": "D", "n": 1}, {"tag": "N", "n": 1}, {"tag": "C", "n": 2}, {"tag": "N", "n": 1}]
     meshB = build_mesh(polyB, specB, domain_label="B")
@@ -210,9 +231,60 @@ def test_pair_contacts_shifted_partitions():
         {"tag": "N", "n": 1},
     ]
     meshA = build_mesh(polyA, specA, domain_label="A")
-    pair = pair_contacts(meshA, meshB)
-    lengths = sorted(round(s1 - s0, 9) for _, _, s0, s1 in pair.overlap_map)
+    return pair_contacts(meshA, meshB)
+
+
+def test_pair_contacts_shifted_partitions():
+    pair = _shifted_pair()
+    lengths = sorted(np.round(np.diff(pair.breaks), 9))
     assert lengths == [0.2, 0.3, 0.5]
+
+
+def test_mortar_mass_of_shifted_partitions():
+    """M_AB pairs A's traction hats with B's displacement hats across
+    non-matching traces: the entries integrated by hand, and each A row
+    summed over B's columns is the integral of its hat."""
+    pair = _shifted_pair()
+    dd_A, dd_B = (DomainDof(mesh, Material(1.0, 0.3))
+                  for mesh in (pair.mesh_A, pair.mesh_B))
+    M = _mortar_mass(pair, dd_A, dd_B)
+    # rows: A's hats at x = 0, 0.7, 1; columns: B's hats at x = 1, 0.5, 0
+    rows = [dd_A.phi_of[0, 0], dd_A.phi_of[0, 1], dd_A.phi_of[1, 1]]
+    cols = [next(n for n in range(pair.mesh_B.n_nodes)
+                 if np.array_equal(pair.mesh_B.nodes[n], (x, 1.0)))
+            for x in (1.0, 0.5, 0.0)]
+    exact = np.array([[2 / 525, 109 / 700, 4 / 21],
+                      [53 / 420, 11 / 35, 5 / 84],
+                      [3 / 25, 3 / 100, 0.0]])
+    expected = np.zeros_like(M)
+    for k in range(2):  # each xy component pairs with itself only
+        expected[np.ix_(2 * np.array(rows) + k, 2 * np.array(cols) + k)] = exact
+    assert np.abs(M - expected).max() <= 1e-15
+    hats = np.array([0.35, 0.5, 0.15])  # int of A's hats over the contact
+    assert np.abs(M[2 * np.array(rows)].sum(1) - hats).max() <= 1e-15
+
+
+@pytest.mark.parametrize("scale", [1e-12, 1e-6, 1e3, 1e9])
+def test_pair_contacts_scale_free(scale):
+    """The pairing of conforming's contact traces does not depend on the
+    unit of length: the same 48 overlap pieces at every scale."""
+    def meshes(factor):
+        out = []
+        for ds in parse_scenario(preset_conforming()).domains:
+            parts = [dict(p) for p in ds.parts]
+            for p in parts:
+                if "grade" in p:
+                    p["grade"] = (p["grade"][0], factor * p["grade"][1])
+            out.append(build_mesh(factor * np.array(ds.polyline), parts,
+                                  domain_label=ds.label,
+                                  allow_floating=ds.allow_floating))
+        return out
+
+    unit = pair_contacts(*meshes(1.0))
+    pair = pair_contacts(*meshes(scale))
+    assert len(unit.pieces) == len(pair.pieces) == 48
+    assert np.abs(pair.arclength_B - scale * unit.arclength_B).max() <= (
+        1e-12 * scale * unit.arclength_B[-1])
 
 
 def test_pair_contacts_divergent_traces_rejected():

@@ -29,9 +29,8 @@ def stacked_op(nA=2, nB=2, pressure=-2.0):
     im = assemble([meshA, meshB], pair, [MAT, MAT])
     ddA = im.layout.domains[0]
     f = np.zeros(2 * ddA.n_phi)
-    from contactbem.mesh import element_frame
     for e in range(meshA.n_elements):
-        if meshA.part_tag[e] == "N" and element_frame(meshA, e)[1][1] > 0.5:
+        if meshA.part_tag[e] == "N" and meshA.normals[e, 1] > 0.5:
             f[ddA.phi_dofs_of_element(e)[1::2]] = pressure
     op = SteklovOperator(im)
     data = ([None, None], [f, None])
@@ -178,6 +177,25 @@ def test_iteration_cap_raises(monkeypatch):
     monkeypatch.setattr(qp, "CHANGES_PER_DIM", 0)
     with pytest.raises(QPError, match="working-set changes"):
         solve_qp(p, active=start)
+
+
+@pytest.mark.parametrize("off,b,y", [
+    # PSD [[1, 1], [1, 1]] rounded to det -2^-53: the minimizer of
+    # 0.5 (y1 + y2)^2 - y1 over y >= 0 is (1, 0); the uphill sign would
+    # re-add the released component at once and cycle to the cap
+    (1.0, [1.0, 0.0], [1.0, 0.0]),
+    # PSD [[1, -1], [-1, 1]] rounded the same way: the minimizer of
+    # 0.5 (y1 - y2)^2 + y1 + y2 over y >= 0 is (0, 0); the first step,
+    # taken uphill, rises in both components and nothing would block it
+    (-1.0, [-1.0, -1.0], [0.0, 0.0]),
+])
+def test_singular_free_block_steps_downhill(off, b, y):
+    """A free block that is singular but for rounding is solved to a huge
+    step whose sign rounding picks.  The solver steps downhill along it."""
+    A = np.array([[1.0, off], [off, np.nextafter(1.0, 0.0)]])
+    p = QPProblem(A=A, b=np.array(b), xi=np.zeros(2))
+    sol = solve_qp(p, active=np.zeros(2, bool))
+    assert sol.y.tolist() == y
 
 
 def kkt_violation(p, sol):

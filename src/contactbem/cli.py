@@ -530,17 +530,30 @@ CONTACT_COLUMNS = ("step", "t", "node", "s", "x1", "x2", "p_n", "p_t",
 ENERGY_COLUMNS = ("t", "tau", "E", "R1", "twoR2", "work", "deltaE",
                   "qp_iters")
 # one line per row: %d for step, node, slip flag and iteration count, %.17g
-# (round-trip precision) for every float
-CONTACT_ROW = "%d,%.17g,%d" + ",%.17g" * 7 + ",%d\n"
+# (round-trip precision) for every float.  A contact row is the step's
+# columns (step, t), the node's (node, s, x1, x2, the same in every step)
+# and the node's state (p_n, p_t, z_n, z_t, slip).
+STEP_COLS = "%d,%.17g,"
+NODE_COLS = "%d,%.17g,%.17g,%.17g,"
+STATE_COLS = "%.17g,%.17g,%.17g,%.17g,%d\n"
+CONTACT_ROW = STEP_COLS + NODE_COLS + STATE_COLS
 ENERGY_ROW = "%.17g," * 7 + "%d\n"
 
 
-def contact_rows(pair, rec):
-    pos = pair.mesh_B.nodes[pair.nodes_B]
-    for i in range(pair.n_master_nodes):
-        yield (rec.k, rec.t, i, pair.arclength_B[i], pos[i, 0], pos[i, 1],
-               rec.p_n[i], rec.p_t[i], rec.z.z_n[i], rec.z.z_t[i],
-               rec.slip[i])
+def node_columns(pair) -> list:
+    """The formatted node columns of each master contact node."""
+    pos = pair.mesh_B.nodes[pair.nodes_B].tolist()
+    return [NODE_COLS % (i, s, x1, x2) for i, (s, (x1, x2))
+            in enumerate(zip(pair.arclength_B.tolist(), pos))]
+
+
+def contact_lines(nodes: list, rec) -> str:
+    """The contact rows of an accepted record, as one string."""
+    step = STEP_COLS % (rec.k, rec.t)
+    states = zip(rec.p_n.tolist(), rec.p_t.tolist(), rec.z.z_n.tolist(),
+                 rec.z.z_t.tolist(), rec.slip.tolist())
+    return "".join([step + node + STATE_COLS % state
+                    for node, state in zip(nodes, states)])
 
 
 def energy_row(rec):
@@ -651,9 +664,10 @@ def run_scenario(sc: Scenario, out_dir) -> StepRecord:
     contact_fh.write(",".join(CONTACT_COLUMNS) + "\n")
     energy_fh.write(",".join(ENERGY_COLUMNS) + "\n")
 
+    nodes = node_columns(system.pair)
+
     def on_step(rec):
-        for row in contact_rows(system.pair, rec):
-            contact_fh.write(CONTACT_ROW % row)
+        contact_fh.write(contact_lines(nodes, rec))
         energy_fh.write(ENERGY_ROW % energy_row(rec))
         contact_fh.flush()
         energy_fh.flush()

@@ -105,20 +105,13 @@ def awb_to_y(alpha, beta, w_t, w_n) -> np.ndarray:
 
 # -- master-frame rotation and contact mass -----------------------------------
 
-def frame_join(pair: ContactPair, w_t, w_n) -> np.ndarray:
-    """Nodal (w_t, w_n) in the master frame -> interleaved global vector."""
-    w = np.empty(2 * pair.n_master_nodes)
-    w[0::2] = w_t * pair.tangent[:, 0] + w_n * pair.normal[:, 0]
-    w[1::2] = w_t * pair.tangent[:, 1] + w_n * pair.normal[:, 1]
-    return w
-
-
-def frame_split(pair: ContactPair, w: np.ndarray):
-    """Interleaved global gap vector -> nodal (w_t, w_n) in the master frame."""
-    wx, wy = w[0::2], w[1::2]
-    w_t = wx * pair.tangent[:, 0] + wy * pair.tangent[:, 1]
-    w_n = wx * pair.normal[:, 0] + wy * pair.normal[:, 1]
-    return w_t, w_n
+def frame_matrix(pair: ContactPair) -> np.ndarray:
+    """[R_t R_n] (2n x 2n): maps the stacked nodal [w_t; w_n] in the master
+    frame to the interleaved global xy vector; it is orthogonal, and its
+    transpose maps back."""
+    eye = np.eye(pair.n_master_nodes)[:, None, :]
+    return np.hstack([(v[:, :, None] * eye).reshape(-1, len(v))
+                      for v in (pair.tangent, pair.normal)])
 
 
 def contact_mass(pair: ContactPair) -> np.ndarray:
@@ -140,7 +133,8 @@ def incremental_energy(w_t, w_n, alpha, beta, op, g_D, f_N, law: ContactLaw,
     magnitude alpha (N mm).
     """
     M = op.M
-    e = op.potential(op.solve(frame_join(op.im.pair, w_t, w_n), g_D, f_N))
+    w = frame_matrix(op.im.pair) @ np.concatenate([w_t, w_n])
+    e = op.potential(op.solve(w, g_D, f_N))
     e += 0.5 * (tau * law.k_g / (tau + chi)) * beta @ (M @ beta)
     e += law.mu * law.k_g * (z_prev.beta_prev() @ (M @ alpha))
     return float(e)

@@ -17,10 +17,18 @@ int e(a):C:e(b) dOmega  equals the symmetrized boundary pairing
 (<p(a), b> + <p(b), a>)/2 of stored tractions and traces, which is the
 operator's form Q on s.  Its residuum drives the optional time-step
 adaptivity.
+
+A step applies only maps the operator built once per run: the QP's data
+map B^T G_R, the forms Q, M and F, and the traction map in nodal frame
+components.  It evaluates both objectives of the residuum with one product
+with A, and takes its four Q forms from one Gram matrix S Q S^T of the
+states involved.  A record carries the data vector at its time, which the
+next step takes as its start data.
 """
 
 from __future__ import annotations
 
+import bisect
 from dataclasses import dataclass
 
 import numpy as np
@@ -34,8 +42,6 @@ from .contact import (
     GapState,
     awb_to_y,
     contact_mass,  # unused here; perfbench/probe.py wraps evolve.contact_mass
-    frame_join,
-    frame_split,
     y_to_awb,
 )
 # perfbench/probe.py wraps the step's QP solve under its former name
@@ -82,7 +88,7 @@ class LoadProgram:
                  for t in self.times]
         ones = [np.ones(2 * dd.n_psi) for dd in im.layout.domains]
         dirichlet = known_data_vector(im, ones, [None] * len(ones)) > 0.0
-        return KnownData(self.times, np.array(table), dirichlet)
+        return KnownData(self.times.tolist(), np.array(table), dirichlet)
 
 
 @dataclass
@@ -90,7 +96,7 @@ class KnownData:
     """A load program as known-data vectors (known_data_vector order), so a
     step interpolates one vector per time instead of every domain table."""
 
-    times: np.ndarray
+    times: list  # the breakpoints, as floats for bisect
     table: np.ndarray  # (n_times, n_known)
     dirichlet: np.ndarray  # True at the prescribed displacement entries
 
@@ -103,8 +109,7 @@ def _interp(times, tables, t):
     if len(times) == 1:
         return [None if tab is None else tab[0] for tab in tables]
     t = min(max(t, times[0]), times[-1])
-    j = int(np.searchsorted(times, t, side="right")) - 1
-    j = min(max(j, 0), len(times) - 2)
+    j = min(max(bisect.bisect_right(times, t) - 1, 0), len(times) - 2)
     lam = (t - times[j]) / (times[j + 1] - times[j])
     return [None if tab is None else (1 - lam) * tab[j] + lam * tab[j + 1]
             for tab in tables]
@@ -180,6 +185,7 @@ class StepRecord:
     p_t: np.ndarray = None
     p_n: np.ndarray = None
     slip: np.ndarray = None  # nodal slip flags against the input state
+    d: np.ndarray = None  # known data at t, the next step's data at its start
 
     @classmethod
     def initial(cls, op: SteklovOperator) -> "StepRecord":
@@ -201,47 +207,53 @@ def step(op: SteklovOperator, law: ContactLaw, chi: float, data: KnownData,
     the step's data vector, the QP vectors and its active-set solve (started
     from the record's active set), energy forms, tractions.
     """
-    pair, M, Q = op.im.pair, op.M, op.Q
+    M, Q = op.M, op.Q
     t_k = state.t + tau
     d_now = data.at(t_k)
+    # the data at the step's start is the record's; t_k - tau, where the
+    # modified data is taken, can round away from state.t
+    d_start = data.at(state.t) if state.d is None else state.d
+    t_old = t_k - tau
+    d_old = d_start if t_old == state.t else data.at(t_old)
     # only the Dirichlet entries are modified; the tractions stay at t_k
-    d_old = np.where(data.dirichlet, data.at(t_k - tau), d_now)
-    d_tilde, = modified_dirichlet([d_now], [d_old], tau, chi)
+    d_tilde, = modified_dirichlet(
+        [d_now], [np.where(data.dirichlet, d_old, d_now)], tau, chi)
     qp = build_qp(op, d_tilde, law, tau, chi, state.z)
     qsol = mprgp_solve(qp, active=state.active)
     _, _, w_t, w_n = y_to_awb(qsol.y)
     # energy residuum: minimality gap of the incremental functional against
     # the do-nothing competitor (previous gap state carried over unchanged),
     # mapped from the fictitious to the physical displacement scale by the
-    # same convex factor as the state recursion
+    # same convex factor as the state recursion; the constant c cancels
     lam = tau / (tau + chi)
     beta_c = np.maximum(0.0, -(1.0 + chi / tau) * state.z.z_n)
-    y_comp = awb_to_y(np.zeros_like(beta_c), beta_c, state.z.z_t, state.z.z_n)
-    delta = lam * (qp.objective(y_comp) - qp.objective(qsol.y))
+    Y = np.array([awb_to_y(0.0, beta_c, state.z.z_t, state.z.z_n), qsol.y])
+    obj = ((0.5 * (Y @ qp.A) - qp.b) * Y).sum(axis=1)  # A is symmetric
+    delta = lam * float(obj[0] - obj[1])
 
-    s_fict = np.concatenate([d_tilde, frame_join(pair, w_t, w_n)])
+    s_fict = np.concatenate([d_tilde, op.B @ qsol.y])
     z_new = GapState(z_t=lam * w_t + (1 - lam) * state.z.z_t,
                      z_n=lam * w_n + (1 - lam) * state.z.z_n)
-    s_new = lam * s_fict + (1 - lam) * state.s
-    ds = s_new - state.s
     dz_t = np.abs(z_new.z_t - state.z.z_t)
+    # rows s_new, ds, the lift increment s_lift and state.s; every Q form
+    # of the residuum is an entry of S Q S^T
+    S = np.zeros((4, len(state.s)))
+    S[0] = lam * s_fict + (1 - lam) * state.s
+    S[1] = S[0] - state.s
+    # lift increment: glued-interface equilibrium field with the Dirichlet
+    # increment as data, traction-free elsewhere and at zero gap
+    S[2, :op.n_known] = np.where(data.dirichlet, d_now - d_start, 0.0)
+    S[3] = state.s
+    SQS = (S @ Q @ S.T).tolist()
+    s_new, ds = S[0], S[1]
 
     beta_new = z_new.beta_prev()
-    stored_new = 0.5 * float(s_new @ (Q @ s_new)
-                             + law.k_g * beta_new @ (M @ beta_new))
-    beta_prev = state.z.beta_prev()
-    r1 = law.mu * law.k_g * beta_prev @ (M @ dz_t)
-    visc = (chi / tau) * float(ds @ (Q @ ds))
-
-    # lift increment: glued-interface equilibrium field with the Dirichlet
-    # increment as data, traction-free elsewhere and at zero gap;
-    # data.at(state.t) rounds differently from data.at(t_k - tau)
-    s_lift = np.zeros_like(s_new)
-    s_lift[:op.n_known] = np.where(data.dirichlet,
-                                   d_now - data.at(state.t), 0.0)
-    q_lift = Q @ s_lift
-    work_mixed = float((state.s + (chi / tau) * ds) @ q_lift)
-    work_lift = 0.5 * float(s_lift @ q_lift)
+    stored_new = 0.5 * (SQS[0][0]
+                        + law.k_g * float(beta_new @ (M @ beta_new)))
+    r1 = law.mu * law.k_g * state.z.beta_prev() @ (M @ dz_t)
+    visc = (chi / tau) * SQS[1][1]
+    work_mixed = SQS[3][2] + (chi / tau) * SQS[1][2]
+    work_lift = 0.5 * SQS[2][2]
     work_ext = float(d_tilde @ (op.F @ ds))  # Neumann data of d~ only
 
     res = EnergyResiduum(r1=r1, visc=visc, stored_new=stored_new,
@@ -251,7 +263,8 @@ def step(op: SteklovOperator, law: ContactLaw, chi: float, data: KnownData,
     return StepRecord(k=state.k + 1, t=t_k, tau=tau, z=z_new, s=s_new,
                       stored=stored_new, op=op, y=qsol.y, active=qsol.active,
                       residuum=res, qp_iterations=qsol.iterations,
-                      s_fict=s_fict, p_t=p_t, p_n=p_n, slip=dz_t > 1e-10)
+                      s_fict=s_fict, p_t=p_t, p_n=p_n, slip=dz_t > 1e-10,
+                      d=d_now)
 
 
 GROW_FACTOR = 0.1  # a step whose delta is below this share of eps doubles
@@ -282,7 +295,8 @@ def contact_tractions(op: SteklovOperator, s: np.ndarray):
     accurate than the raw traction trace near singular corners.  s is the
     contact-space state [d~; w] of the fictitious field.
     """
-    return frame_split(op.im.pair, op.traction @ s)
+    p = op.traction_tn @ s
+    return p[:len(p) // 2], p[len(p) // 2:]
 
 
 def run(im, law: ContactLaw, chi: float, loads: LoadProgram, *, t_end: float,

@@ -4,11 +4,16 @@ The incremental functional, after the change of variables of the contact
 module, is 0.5 y^T A y - b^T y + c over y >= xi.  A is an explicit dense
 matrix: the contact Hessian pulled back to y through the nodal frames, plus
 the consistent compliance mass.  A depends only on the operator and the
-step size, so it is built once per step size.  The QP is solved by a primal
-active-set method started at y = xi from the previous step's active set,
-each pass one direct solve of the free block; it terminates finitely and
-returns the minimizer to roundoff.  A is only positive semidefinite: each
-node's slip magnitude alpha is a null direction, pinned in the solve.
+step size, so it is built once per step size; b is one product of the
+operator's B^T G_R with the step's data plus the friction term.  The QP is
+solved by a primal active-set method started at y = xi from the previous
+step's active set, each pass one direct solve of the free block; it
+terminates finitely and returns the minimizer to roundoff.  A is only
+positive semidefinite: each node's slip magnitude alpha is a null
+direction, pinned in the solve.  The free-block structure of the last
+working set (the free indices, the pinning map and the reduced matrix) is
+memoized beside A, so a step whose working set is the previous step's
+gathers no block; the solve itself is the same, and so is y, to the bit.
 """
 
 from __future__ import annotations
@@ -21,7 +26,6 @@ from .contact import (
     ContactLaw,
     GapState,
     contact_mass,  # unused here; perfbench/probe.py wraps qp.contact_mass
-    frame_split,
     mosco_bounds,
 )
 
@@ -41,6 +45,9 @@ class QPProblem:
     # y stacks (y1, y2, y3, y4) as build_qp does: each node's slip
     # magnitude alpha = (y1 + y2)/2 is a null direction of A
     slip_pairs: bool = False
+    # free-block memo of A, shared by the QPs of one A (build_qp passes the
+    # one kept on the operator); with None, solve_qp keeps one per call
+    memo: dict = None
 
     @property
     def dim(self) -> int:
@@ -66,18 +73,14 @@ def quadratic_part(op, c_beta: float) -> np.ndarray:
     c_beta M on the y3 block.  A depends only on the operator and c_beta,
     so it is built once per distinct c_beta and kept on the operator.
     """
-    A = op.qp_parts.get(c_beta)
-    if A is not None:
-        return A
-    pair, n = op.im.pair, op.n_w // 2
-    # nodal (t or n) component -> interleaved global xy components
-    R_t, R_n = ((v[:, :, None] * np.eye(n)[:, None, :]).reshape(2 * n, n)
-                for v in (pair.tangent, pair.normal))
-    B = np.hstack([0.5 * R_t, -0.5 * R_t, -R_n, R_n])
-    A = B.T @ op.H @ B
+    part = op.qp_parts.get(c_beta)
+    if part is not None:
+        return part[0]
+    n = op.n_w // 2
+    A = op.B.T @ op.H @ op.B
     A[2 * n:3 * n, 2 * n:3 * n] += c_beta * op.M
     A = 0.5 * (A + A.T)
-    op.qp_parts[c_beta] = A
+    op.qp_parts[c_beta] = (A, {})
     return A
 
 
@@ -87,41 +90,52 @@ def build_qp(op, d: np.ndarray, law: ContactLaw, tau: float, chi: float,
     known boundary data d (the offset state is the solution at zero gap).
 
     The quadratic part combines the elastic contact response with the
-    compliance mass term; the linear part carries the offset gradient
-    -G_R d and the frozen friction coupling, the constant the offset
-    potential -d^T P d / 2.
+    compliance mass term; the linear part b = B^T G_R d - (1/2) mu k_g
+    [M; M; 0; 0] beta_prev carries the offset gradient -G_R d and the frozen
+    friction coupling, the constant the offset potential -d^T P d / 2.
     """
-    A = quadratic_part(op, tau * law.k_g / (tau + chi))
-    g_off_t, g_off_n = frame_split(op.im.pair, -(op.G[:, :op.n_known] @ d))
-    fric = law.mu * law.k_g * (op.M @ z_prev.beta_prev())
-    b = -np.concatenate([
-        0.5 * fric + 0.5 * g_off_t,
-        0.5 * fric - 0.5 * g_off_t,
-        -g_off_n,
-        g_off_n,
-    ])
+    c_beta = tau * law.k_g / (tau + chi)
+    A = quadratic_part(op, c_beta)
+    n = op.n_w // 2
+    b = op.BtG_R @ d
+    fric = (0.5 * law.mu * law.k_g) * (op.M @ z_prev.beta_prev())
+    b[:n] -= fric
+    b[n:2 * n] -= fric
     xi = mosco_bounds(z_prev, tau, chi)
     return QPProblem(A=A, b=b, xi=xi, c=float(-0.5 * d @ (op.P @ d)),
-                     slip_pairs=True)
+                     slip_pairs=True, memo=op.qp_parts[c_beta][1])
 
 
 CHANGES_PER_DIM = 10  # cap on working-set changes, per component of y
 
 
-def _free_block_solve(A, rhs, free, m):
-    """Minimizer of the free components of 0.5 y^T A y - rhs^T y, the others
-    held fixed.  With m > 0, y stacks slip pairs (y1, y2) in its first 2m
-    entries, and a pair with both components free spans the null direction
-    alpha of A; it is solved with alpha pinned, y2 = -y1."""
+def _free_block(A, free, m):
+    """(F, T, T^T A_FF T) of the free set: its indices F, and the map T
+    from the solved unknowns to y_F, None when the block is A_FF itself.
+    With m > 0, y stacks slip pairs (y1, y2) in its first 2m entries, and a
+    pair with both components free spans the null direction alpha of A; T
+    pins alpha there, y2 = -y1."""
     F = np.flatnonzero(free)
     i = np.flatnonzero(free[:m] & free[m:2 * m])
     if not i.size:
-        return np.linalg.solve(A[np.ix_(F, F)], rhs[F])
+        return F, None, A[np.ix_(F, F)]
     keep = ~np.isin(F, i + m)
     T = np.eye(len(F))[:, keep]
     T[np.searchsorted(F, i + m), np.searchsorted(F[keep], i)] = -1.0
-    A_FF = A[np.ix_(F, F)]
-    return T @ np.linalg.solve(T.T @ A_FF @ T, T.T @ rhs[F])
+    return F, T, T.T @ A[np.ix_(F, F)] @ T
+
+
+def _free_block_solve(A, rhs, free, m, memo):
+    """Minimizer of the free components of 0.5 y^T A y - rhs^T y, the others
+    held fixed.  memo keeps the _free_block of the last free set of A."""
+    key = free.tobytes()
+    if key not in memo:
+        memo.clear()
+        memo[key] = _free_block(A, free, m)
+    F, T, A_red = memo[key]
+    if T is None:
+        return np.linalg.solve(A_red, rhs[F])
+    return T @ np.linalg.solve(A_red, T.T @ rhs[F])
 
 
 def solve_qp(p: QPProblem, active: np.ndarray = None) -> QPSolution:
@@ -155,6 +169,7 @@ def solve_qp(p: QPProblem, active: np.ndarray = None) -> QPSolution:
     n = p.dim
     m = n // 4 if p.slip_pairs else 0
     A, b, xi = p.A, p.b, p.xi
+    memo = {} if p.memo is None else p.memo
     eps = 1e-12 * np.sqrt(b @ b)
     y = xi.copy()
     g = A @ y - b  # gradient at y
@@ -163,10 +178,9 @@ def solve_qp(p: QPProblem, active: np.ndarray = None) -> QPSolution:
     changes = solves = 0
     while True:
         free = ~work
-        y_W = np.where(work, xi, 0.0)
-        y_new = y_W.copy()
+        y_new = np.where(work, xi, 0.0)  # its free part is solved for
         try:
-            y_new[free] = _free_block_solve(A, b - A @ y_W, free, m)
+            y_new[free] = _free_block_solve(A, b - A @ y_new, free, m, memo)
         except np.linalg.LinAlgError:
             raise QPError(f"singular free block after {changes} "
                           f"working-set changes")

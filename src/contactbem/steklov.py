@@ -26,7 +26,7 @@ from .assembly import (
     scatter_solution,
     solve_tbvp,
 )
-from .contact import contact_mass
+from .contact import contact_mass, frame_matrix
 
 
 class SteklovError(RuntimeError):
@@ -48,9 +48,14 @@ class SteklovOperator:
       P = R_known^T Z_R, so the offset potential is -d^T P d / 2;
       Q, the pairing form sum_d <p_d, Mg_d v_d> of the traces of s;
       F, the Neumann work d^T F s of the traction data in d on s;
-      traction = M^{-1} G per xy component, the nodal contact traction of s;
-    plus the contact mass M and the quadratic parts of the step QPs, one per
-    step size.
+      traction = M^{-1} G per xy component, the nodal contact traction of s,
+        and traction_tn = [R_t^T; R_n^T] traction, its stacked nodal frame
+        components [p_t; p_n];
+      B = dw/dy, the frame matrix from the step QP's variables y to the
+        global gap (qp module), and BtG_R = B^T G_R, so the data term of a
+        step QP is one product with d;
+    plus the contact mass M and, per step size, the quadratic part of the
+    step QP beside the free-block memo of its solves (qp_parts).
     """
 
     def __init__(self, im: InfluenceMatrices):
@@ -80,7 +85,13 @@ class SteklovOperator:
             ML[phi] = Mg @ L[phi.stop:off + dd.width]
         self.Q = _sym(L.T @ ML)
         self.F = ML[layout.known_cols]  # Dirichlet rows are psi rows: zero
-        self.qp_parts = {}  # c_beta -> qp.quadratic_part(self, c_beta)
+        R = frame_matrix(pair)
+        R_t, R_n = R[:, :n], R[:, n:]
+        self.traction_tn = R.T @ self.traction
+        self.B = np.hstack([0.5 * R_t, -0.5 * R_t, -R_n, R_n])
+        self.BtG_R = self.B.T @ self.G[:, :self.n_known]
+        # c_beta -> (qp.quadratic_part(self, c_beta), its free-block memo)
+        self.qp_parts = {}
 
     @property
     def n_w(self) -> int:

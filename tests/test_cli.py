@@ -223,6 +223,34 @@ def test_csv_row_templates_match_per_value_rendering():
     assert "-0," in cli.ENERGY_ROW % row
 
 
+def test_csv_files_are_the_row_templates_of_the_records(tmp_path,
+                                                        monkeypatch):
+    """Both CSV files are, byte for byte, the header and one CONTACT_ROW
+    per master node and ENERGY_ROW per accepted record, each formatted
+    from the record's values."""
+    sc = parse_scenario(tiny_scenario())
+    records = run_collecting(monkeypatch, sc, tmp_path)
+    pair = records[0].op.im.pair
+    pos = pair.mesh_B.nodes[pair.nodes_B]
+    contact = [",".join(cli.CONTACT_COLUMNS) + "\n"]
+    energy = [",".join(cli.ENERGY_COLUMNS) + "\n"]
+    for rec in records:
+        for i in range(pair.n_master_nodes):
+            contact.append(cli.CONTACT_ROW % (
+                rec.k, rec.t, i, pair.arclength_B[i], pos[i, 0], pos[i, 1],
+                rec.p_n[i], rec.p_t[i], rec.z.z_n[i], rec.z.z_t[i],
+                rec.slip[i]))
+        r = rec.residuum
+        energy.append(cli.ENERGY_ROW % (
+            rec.t, rec.tau, rec.stored, r.r1, r.visc,
+            r.work_mixed + r.work_lift + r.work_ext, r.delta,
+            rec.qp_iterations))
+    assert (tmp_path / "contact_series.csv").read_bytes() == "".join(
+        contact).encode()
+    assert (tmp_path / "energy_log.csv").read_bytes() == "".join(
+        energy).encode()
+
+
 def test_reruns_are_deterministic(tmp_path):
     sc = parse_scenario(tiny_scenario())
     cli.run_scenario(sc, tmp_path / "a")

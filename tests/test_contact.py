@@ -8,8 +8,7 @@ from contactbem.contact import (
     GapState,
     awb_to_y,
     contact_mass,
-    frame_join,
-    frame_split,
+    frame_matrix,
     incremental_energy,
     mosco_bounds,
     split_y,
@@ -88,16 +87,23 @@ def test_y_round_trip():
 
 
 def test_frame_round_trip_and_orientation():
+    """frame_matrix puts each node's (w_t, w_n) on its x and y entries
+    through the node's unit tangent and normal, and its transpose splits
+    the global vector back into them."""
     pair, _ = stacked_pair()
     n_c = pair.n_master_nodes
+    R = frame_matrix(pair)
     w_t, w_n = RNG.normal(size=(2, n_c))
-    w = frame_join(pair, w_t, w_n)
-    wt2, wn2 = frame_split(pair, w)
+    w = R @ np.concatenate([w_t, w_n])
+    for c in range(2):
+        ref = w_t * pair.tangent[:, c] + w_n * pair.normal[:, c]
+        assert np.abs(w[c::2] - ref).max() <= 1e-15
+    wt2, wn2 = np.split(R.T @ w, 2)
     assert np.abs(wt2 - w_t).max() <= 1e-14
     assert np.abs(wn2 - w_n).max() <= 1e-14
     # master normal points from B toward A (upwards for the stacked squares)
     assert np.allclose(pair.normal, [0.0, 1.0])
-    w = frame_join(pair, np.zeros(n_c), np.ones(n_c))
+    w = R @ np.concatenate([np.zeros(n_c), np.ones(n_c)])
     assert np.allclose(w[1::2], 1.0) and np.allclose(w[0::2], 0.0)
 
 
@@ -159,8 +165,10 @@ def test_smooth_part_gradient_fd():
         return incremental_energy(wt, wn, alpha, beta, op, NO_DATA, NO_DATA,
                                   law, tau, chi, z)
 
-    g = op.gradient(op.solve(frame_join(pair, w_t, w_n), NO_DATA, NO_DATA))
-    g_t, g_n = frame_split(pair, g)
+    R = frame_matrix(pair)
+    g = op.gradient(op.solve(R @ np.concatenate([w_t, w_n]), NO_DATA,
+                             NO_DATA))
+    g_t, g_n = np.split(R.T @ g, 2)
     h = 1e-6
     for i in range(n_c):
         e = np.zeros(n_c)

@@ -8,7 +8,7 @@ from contactbem.assembly import (
     known_data_vector,
     solve_tbvp,
 )
-from contactbem.contact import ContactLaw, GapState, contact_mass, frame_split
+from contactbem.contact import ContactLaw, GapState, contact_mass, frame_matrix
 from contactbem.evolve import (
     EnergyResiduum,
     EvolveError,
@@ -459,7 +459,7 @@ def test_contact_space_step_matches_full_solves():
         force = W.T @ sol.x
         close(op.G @ result.s_fict, force, np.abs(force).max())
         p_xy = np.linalg.solve(M, force.reshape(-1, 2)).ravel()
-        p_ref = frame_split(pair, p_xy)
+        p_ref = np.split(frame_matrix(pair).T @ p_xy, 2)
         close((result.p_t, result.p_n), p_ref, np.abs(p_xy).max())
 
         lam = tau / (tau + chi)

@@ -190,10 +190,6 @@ class DofLayout:
         self.unknown_cols = np.concatenate(unknown)
         self.known_cols = np.concatenate(known)
 
-    @property
-    def n_unknowns(self) -> int:
-        return len(self.unknown_cols)
-
 
 @dataclass
 class BoundarySolution:
@@ -202,7 +198,6 @@ class BoundarySolution:
     p: list  # per domain (2 n_phi,)
     v: list  # per domain (2 n_psi,)
     x: np.ndarray = None  # raw unknown vector, ordered per the layout
-    rhs: np.ndarray = None
 
 
 @dataclass
@@ -346,9 +341,7 @@ def solve_tbvp(im: InfluenceMatrices, g_D, f_N, w=None) -> BoundarySolution:
         rhs = rhs + im.W @ np.asarray(w, float)
     x = im.solve(rhs)
     check_residual(im, x, rhs)
-    sol = scatter_solution(im, x, data)
-    sol.rhs = rhs
-    return sol
+    return scatter_solution(im, x, data)
 
 
 def scatter_solution(im: InfluenceMatrices, x: np.ndarray,

@@ -109,13 +109,15 @@ class DomainSpec:
 
 @dataclass
 class SolverConfig:
+    """Solver settings; parse_scenario sets every field and its defaults."""
+
     t_end: float
     tau: float
-    tau_min: float = None
-    tau_max: float = None
-    eps: float = None  # N mm; adaptivity off when None
-    plot_every: int = 0
-    magnification: float = 1000.0
+    tau_min: float
+    tau_max: float
+    eps: float  # N mm; adaptivity off when None
+    plot_every: int
+    magnification: float
 
 
 @dataclass
@@ -736,8 +738,8 @@ def _load_scenario(args) -> Scenario:
     sc = parse_scenario(doc)
     if args.tau is not None:
         tau = sc.solver.tau = _number(args.tau, "--tau", lo=1e-15)
-        sc.solver.tau_min = min(sc.solver.tau_min or tau, tau)
-        sc.solver.tau_max = max(sc.solver.tau_max or tau, tau)
+        sc.solver.tau_min = min(sc.solver.tau_min, tau)
+        sc.solver.tau_max = max(sc.solver.tau_max, tau)
     if args.eps is not None:
         sc.solver.eps = _number(args.eps, "--eps", lo=1e-30)
     if args.plot_every is not None:

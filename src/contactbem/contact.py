@@ -1,4 +1,4 @@
-"""Normal-compliance contact law, friction energy and Mosco bounds.
+"""Normal-compliance contact law, Mosco bounds and master-frame maps.
 
 The nonsmooth incremental functional in the nodal gap unknowns is rewritten
 with auxiliary variables so every constraint becomes a lower bound:
@@ -120,21 +120,3 @@ def contact_mass(pair: ContactPair) -> np.ndarray:
     chain = np.arange(n_c - 1)[:, None] + np.arange(2)  # element ends in nodes_B
     return p1_mass(pair.mesh_B.lengths[pair.elements_B], chain, chain, (n_c, n_c))
 
-
-# -- incremental functional ---------------------------------------------------
-
-def incremental_energy(w_t, w_n, alpha, beta, op, g_D, f_N, law: ContactLaw,
-                       tau: float, chi: float, z_prev: GapState) -> float:
-    """Value of the per-step boundary functional at (w, alpha, beta).
-
-    Sum of the elastic potential of the coupled state solved for the
-    boundary data (g_D, f_N) at gap w, the quadratic compliance term in beta
-    and the friction work coupling the frozen penetration weight to the slip
-    magnitude alpha (N mm).
-    """
-    M = op.M
-    w = frame_matrix(op.im.pair) @ np.concatenate([w_t, w_n])
-    e = op.potential(op.solve(w, g_D, f_N))
-    e += 0.5 * (tau * law.k_g / (tau + chi)) * beta @ (M @ beta)
-    e += law.mu * law.k_g * (z_prev.beta_prev() @ (M @ alpha))
-    return float(e)

@@ -115,18 +115,12 @@ def _interp(times, tables, t):
             for tab in tables]
 
 
-def modified_dirichlet(g_now, g_old, tau: float, chi: float):
-    """Dirichlet data of the fictitious problem of a step of size tau.
-
-    g_now and g_old are the per-domain Dirichlet data at the end of the step
-    and tau before it (or, in step, whole known-data vectors).
-    """
+def modified_dirichlet(d_now, d_old, tau: float, chi: float) -> np.ndarray:
+    """Dirichlet data of the fictitious problem of a step of size tau, from
+    the data d_now at the end of the step and d_old tau before it."""
     if not tau > 0.0:
         raise EvolveError(f"time step must be positive: {tau}")
-    out = []
-    for gn, go in zip(g_now, g_old):
-        out.append(None if gn is None else gn + (chi / tau) * (gn - go))
-    return out
+    return d_now + (chi / tau) * (d_now - d_old)
 
 
 @dataclass
@@ -146,20 +140,9 @@ class EnergyResiduum:
     work_ext: float  # Neumann work on the displacement increment
     # energy imbalance, exact in the discrete system: the minimality gap of
     # the incremental functional (see step), >= 0 up to the QP tolerance,
-    # unlike delta_pairing, which carries signed discretization error
+    # unlike the balance of the terms above, which carries signed
+    # discretization error
     delta: float
-
-    @property
-    def delta_pairing(self) -> float:
-        """Same imbalance from the logged decomposition terms (diagnostic)."""
-        right = self.stored_old + self.work_mixed + self.work_lift + self.work_ext
-        left = self.r1 + self.visc + self.stored_new
-        return right - left
-
-    @property
-    def scale(self) -> float:
-        return max(abs(self.stored_new), abs(self.stored_old), self.r1,
-                   abs(self.visc), abs(self.work_ext), 1e-30)
 
 
 @dataclass
@@ -188,10 +171,11 @@ class StepRecord:
     d: np.ndarray = None  # known data at t, the next step's data at its start
 
     @classmethod
-    def initial(cls, op: SteklovOperator) -> "StepRecord":
+    def initial(cls, op: SteklovOperator, d: np.ndarray) -> "StepRecord":
+        """The rest state at t = 0, with d the known data at t = 0."""
         z = GapState.rest(op.im.pair.n_master_nodes)
         return cls(k=0, t=0.0, tau=0.0, z=z, s=np.zeros(op.n_known + op.n_w),
-                   stored=0.0, op=op)
+                   stored=0.0, op=op, d=d)
 
     @property
     def u(self) -> list:
@@ -212,19 +196,19 @@ def step(op: SteklovOperator, law: ContactLaw, chi: float, data: KnownData,
     d_now = data.at(t_k)
     # the data at the step's start is the record's; t_k - tau, where the
     # modified data is taken, can round away from state.t
-    d_start = data.at(state.t) if state.d is None else state.d
     t_old = t_k - tau
-    d_old = d_start if t_old == state.t else data.at(t_old)
+    d_old = state.d if t_old == state.t else data.at(t_old)
     # only the Dirichlet entries are modified; the tractions stay at t_k
-    d_tilde, = modified_dirichlet(
-        [d_now], [np.where(data.dirichlet, d_old, d_now)], tau, chi)
+    d_tilde = modified_dirichlet(
+        d_now, np.where(data.dirichlet, d_old, d_now), tau, chi)
     qp = build_qp(op, d_tilde, law, tau, chi, state.z)
     qsol = mprgp_solve(qp, active=state.active)
     _, _, w_t, w_n = y_to_awb(qsol.y)
     # energy residuum: minimality gap of the incremental functional against
     # the do-nothing competitor (previous gap state carried over unchanged),
     # mapped from the fictitious to the physical displacement scale by the
-    # same convex factor as the state recursion; the constant c cancels
+    # same convex factor as the state recursion; the functional's constant
+    # cancels
     lam = tau / (tau + chi)
     beta_c = np.maximum(0.0, -(1.0 + chi / tau) * state.z.z_n)
     Y = np.array([awb_to_y(0.0, beta_c, state.z.z_t, state.z.z_n), qsol.y])
@@ -242,7 +226,7 @@ def step(op: SteklovOperator, law: ContactLaw, chi: float, data: KnownData,
     S[1] = S[0] - state.s
     # lift increment: glued-interface equilibrium field with the Dirichlet
     # increment as data, traction-free elsewhere and at zero gap
-    S[2, :op.n_known] = np.where(data.dirichlet, d_now - d_start, 0.0)
+    S[2, :op.n_known] = np.where(data.dirichlet, d_now - state.d, 0.0)
     S[3] = state.s
     SQS = (S @ Q @ S.T).tolist()
     s_new, ds = S[0], S[1]
@@ -313,7 +297,7 @@ def run(im, law: ContactLaw, chi: float, loads: LoadProgram, *, t_end: float,
     tau_max = tau if tau_max is None else tau_max
     op = SteklovOperator(im)
     data = loads.known(im)
-    rec = StepRecord.initial(op)
+    rec = StepRecord.initial(op, data.at(0.0))
     while rec.t < t_end - 1e-12 * t_end:
         tau_k = min(tau, t_end - rec.t)
         try:

@@ -1,9 +1,8 @@
-"""Plane-strain Kelvin kernels and Galerkin double integrals.
+"""Galerkin double integrals of the plane-strain Kelvin kernels.
 
-Public entry points: pointwise kernel evaluation (kelvin_U, kelvin_T),
-all_pair_blocks for every element pair of a mesh and galerkin_integral for a
-single pair.  Both integrate through the batched evaluator in _kernels_impl;
-a single pair is a batch of one.
+Public entry points: all_pair_blocks for every element pair of a mesh and
+galerkin_integral for a single pair.  Both integrate through the batched
+evaluator in _kernels_impl; a single pair is a batch of one.
 """
 
 from __future__ import annotations
@@ -15,42 +14,6 @@ from ._kernels_impl import KernelError
 from .mesh import BoundaryMesh, Material
 
 KERNEL_KINDS = ("U", "T", "T*", "S")
-
-
-def kelvin_U(x, y, mat: Material) -> np.ndarray:
-    """Kelvin fundamental solution U_kl(x, y), symmetric 2x2 (mm/MPa scale)."""
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    r_vec = y - x
-    r = np.hypot(r_vec[0], r_vec[1])
-    if r == 0.0:
-        raise KernelError("coincident points")
-    G = mat.shear_modulus
-    nu = mat.poisson_ratio
-    d = r_vec / r
-    c = 1.0 / (8.0 * np.pi * G * (1.0 - nu))
-    return c * (-(3.0 - 4.0 * nu) * np.log(r) * np.eye(2) + np.outer(d, d))
-
-
-def kelvin_T(x, y, n_y, mat: Material) -> np.ndarray:
-    """Traction kernel T_kl(x, y): traction at y (normal n_y) of the Kelvin
-    field loaded at x in direction k."""
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    n = np.asarray(n_y, dtype=float)
-    r_vec = y - x
-    r = np.hypot(r_vec[0], r_vec[1])
-    if r == 0.0:
-        raise KernelError("coincident points")
-    nu = mat.poisson_ratio
-    d = r_vec / r
-    o2 = 1.0 - 2.0 * nu
-    drn = d @ n
-    c = -1.0 / (4.0 * np.pi * (1.0 - nu) * r)
-    return c * (
-        drn * (o2 * np.eye(2) + 2.0 * np.outer(d, d))
-        - o2 * (np.outer(d, n) - np.outer(n, d))
-    )
 
 
 def _classify(el: np.ndarray, i: np.ndarray, j: np.ndarray):

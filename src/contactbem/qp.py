@@ -1,19 +1,20 @@
 """Bound-constrained QP per time step and its active-set solver.
 
 The incremental functional, after the change of variables of the contact
-module, is 0.5 y^T A y - b^T y + c over y >= xi.  A is an explicit dense
-matrix: the contact Hessian pulled back to y through the nodal frames, plus
-the consistent compliance mass.  A depends only on the operator and the
-step size, so it is built once per step size; b is one product of the
-operator's B^T G_R with the step's data plus the friction term.  The QP is
-solved by a primal active-set method started at y = xi from the previous
-step's active set, each pass one direct solve of the free block; it
-terminates finitely and returns the minimizer to roundoff.  A is only
-positive semidefinite: each node's slip magnitude alpha is a null
-direction, pinned in the solve.  The free-block structure of the last
-working set (the free indices, the pinning map and the reduced matrix) is
-memoized beside A, so a step whose working set is the previous step's
-gathers no block; the solve itself is the same, and so is y, to the bit.
+module, is 0.5 y^T A y - b^T y over y >= xi, up to a constant that no
+minimizer reads.  A is an explicit dense matrix: the contact Hessian pulled
+back to y through the nodal frames, plus the consistent compliance mass.
+A depends only on the operator and the step size, so it is built once per
+step size; b is one product of the operator's B^T G_R with the step's data
+plus the friction term.  The QP is solved by a primal active-set method
+started at y = xi from the previous step's active set, each pass one direct
+solve of the free block; it terminates finitely and returns the minimizer
+to roundoff.  A is only positive semidefinite: each node's slip magnitude
+alpha is a null direction, pinned in the solve.  The free-block structure
+of the last working set (the free indices, the pinning map and the reduced
+matrix) is memoized beside A, so a step whose working set is the previous
+step's gathers no block; the solve itself is the same, and so is y, to the
+bit.
 """
 
 from __future__ import annotations
@@ -36,12 +37,11 @@ class QPError(RuntimeError):
 
 @dataclass
 class QPProblem:
-    """min 0.5 y^T A y - b^T y + c  subject to  y >= xi."""
+    """min 0.5 y^T A y - b^T y  subject to  y >= xi."""
 
     A: np.ndarray
     b: np.ndarray
     xi: np.ndarray
-    c: float = 0.0
     # y stacks (y1, y2, y3, y4) as build_qp does: each node's slip
     # magnitude alpha = (y1 + y2)/2 is a null direction of A
     slip_pairs: bool = False
@@ -52,9 +52,6 @@ class QPProblem:
     @property
     def dim(self) -> int:
         return len(self.b)
-
-    def objective(self, y: np.ndarray) -> float:
-        return float(0.5 * y @ (self.A @ y) - self.b @ y + self.c)
 
 
 @dataclass
@@ -92,7 +89,8 @@ def build_qp(op, d: np.ndarray, law: ContactLaw, tau: float, chi: float,
     The quadratic part combines the elastic contact response with the
     compliance mass term; the linear part b = B^T G_R d - (1/2) mu k_g
     [M; M; 0; 0] beta_prev carries the offset gradient -G_R d and the frozen
-    friction coupling, the constant the offset potential -d^T P d / 2.
+    friction coupling.  The functional's constant, the offset potential of
+    d, is left out: no minimizer and no difference of objectives reads it.
     """
     c_beta = tau * law.k_g / (tau + chi)
     A = quadratic_part(op, c_beta)
@@ -102,8 +100,8 @@ def build_qp(op, d: np.ndarray, law: ContactLaw, tau: float, chi: float,
     b[:n] -= fric
     b[n:2 * n] -= fric
     xi = mosco_bounds(z_prev, tau, chi)
-    return QPProblem(A=A, b=b, xi=xi, c=float(-0.5 * d @ (op.P @ d)),
-                     slip_pairs=True, memo=op.qp_parts[c_beta][1])
+    return QPProblem(A=A, b=b, xi=xi, slip_pairs=True,
+                     memo=op.qp_parts[c_beta][1])
 
 
 CHANGES_PER_DIM = 10  # cap on working-set changes, per component of y

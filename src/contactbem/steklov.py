@@ -9,7 +9,8 @@ K x = R_known d + W w, the elastic potential of the solved state is
 Phi = -x^T (R_known d + W w) / 2, so grad_w Phi = -W^T x and the contact
 Hessian is -W^T K^{-1} W.  The Hessian is positive semidefinite; its
 nullspace holds the rigid motions of a body that is supported through the
-contact alone.
+contact alone.  The full solves and the potential itself serve as test
+oracles (tests/oracles.py); a run needs only the forms built here.
 
 Nothing here depends on the load: the operator is built once per assembled
 system, and the boundary data of a step enter as the d part of s.
@@ -24,7 +25,7 @@ from .assembly import (
     InfluenceMatrices,
     check_residual,
     scatter_solution,
-    solve_tbvp,
+    solve_tbvp,  # unused here; perfbench/probe.py wraps steklov.solve_tbvp
 )
 from .contact import contact_mass, frame_matrix
 
@@ -45,12 +46,11 @@ class SteklovOperator:
       G = W^T Z, the contact force of s (its d columns G_R give the offset
         gradient -G_R d, the full G s the force of a solved state);
       H = -G_W, the contact Hessian;
-      P = R_known^T Z_R, so the offset potential is -d^T P d / 2;
       Q, the pairing form sum_d <p_d, Mg_d v_d> of the traces of s;
       F, the Neumann work d^T F s of the traction data in d on s;
-      traction = M^{-1} G per xy component, the nodal contact traction of s,
-        and traction_tn = [R_t^T; R_n^T] traction, its stacked nodal frame
-        components [p_t; p_n];
+      traction_tn = [R_t^T; R_n^T] M^{-1} G (M^{-1} on each xy component),
+        the stacked nodal frame components [p_t; p_n] of the contact
+        traction of s;
       B = dw/dy, the frame matrix from the step QP's variables y to the
         global gap (qp module), and BtG_R = B^T G_R, so the data term of a
         step QP is one product with d;
@@ -71,9 +71,8 @@ class SteklovOperator:
         self.G = im.W.T @ self.Z
         self.H = self.hessian()
         n = pair.n_master_nodes  # M^{-1} on each xy component of G's rows
-        self.traction = np.linalg.solve(
+        traction = np.linalg.solve(
             self.M, self.G.reshape(n, -1)).reshape(self.G.shape)
-        self.P = _sym(im.R_known.T @ self.Z[:, :self.n_known])
         # full-layout traces of s (scatter_solution, column by column)
         layout = im.layout
         L = np.zeros((layout.offsets[-1], self.Z.shape[1]))
@@ -87,7 +86,7 @@ class SteklovOperator:
         self.F = ML[layout.known_cols]  # Dirichlet rows are psi rows: zero
         R = frame_matrix(pair)
         R_t, R_n = R[:, :n], R[:, n:]
-        self.traction_tn = R.T @ self.traction
+        self.traction_tn = R.T @ traction
         self.B = np.hstack([0.5 * R_t, -0.5 * R_t, -R_n, R_n])
         self.BtG_R = self.B.T @ self.G[:, :self.n_known]
         # c_beta -> (qp.quadratic_part(self, c_beta), its free-block memo)
@@ -101,29 +100,6 @@ class SteklovOperator:
     def traces(self, s: np.ndarray) -> BoundarySolution:
         """Full per-domain traction and displacement traces of s."""
         return scatter_solution(self.im, self.Z @ s, s[:self.n_known])
-
-    def solve(self, w: np.ndarray, g_D, f_N) -> BoundarySolution:
-        """Full affine state for boundary data (g_D, f_N) and gap w."""
-        return solve_tbvp(self.im, g_D, f_N, w=w)
-
-    def gradient(self, sol: BoundarySolution) -> np.ndarray:
-        """d(elastic potential)/dw of the solved state (exact discretely)."""
-        return -self.im.W.T @ sol.x
-
-    def potential(self, sol: BoundarySolution) -> float:
-        """Elastic potential of a solved state (includes data work terms)."""
-        return float(-0.5 * sol.x @ sol.rhs)
-
-    def energy_pairing(self, sol: BoundarySolution) -> float:
-        """Boundary-pairing elastic energy (1/2) <p, v> per domain.
-
-        Independent of the potential calculus; agrees up to discretization
-        error and exactly on states the trial spaces represent exactly.
-        """
-        e = 0.0
-        for p, v, Mg in zip(sol.p, sol.v, self.im.Mg):
-            e += 0.5 * (p @ (Mg @ v))
-        return float(e)
 
     def hessian(self) -> np.ndarray:
         """Dense contact Hessian -W^T K^{-1} W, read off the gap columns of

@@ -27,10 +27,10 @@ from contactbem.cli import (
     preset_skewed,
 )
 from contactbem.contact import ContactLaw, GapState, contact_mass, split_y, y_to_awb
-from contactbem.evolve import modified_dirichlet, run
-from contactbem.mesh import Material, build_mesh
+from contactbem.mesh import Material
 from contactbem.qp import QPProblem, build_qp, solve_qp
 from contactbem.steklov import SteklovOperator
+from oracles import modified_dirichlet, run_records, square
 
 
 def report(capsys, num, name, ok, detail):
@@ -41,21 +41,14 @@ def report(capsys, num, name, ok, detail):
     assert ok, line
 
 
-def _records(*args, **kwargs):
-    """The accepted records of a run, collected as it streams them."""
-    records = []
-    run(*args, on_step=records.append, **kwargs)
-    return records
-
-
 def _run_stock(doc):
     """Build a preset document and march it with its stock solver settings."""
     sc = parse_scenario(doc)
     system = build_system(sc)
-    records = _records(system.im, sc.law, sc.chi, system.loads,
-                       t_end=sc.solver.t_end, tau=sc.solver.tau,
-                       tau_min=sc.solver.tau_min, tau_max=sc.solver.tau_max,
-                       eps=sc.solver.eps)
+    records = run_records(system.im, sc.law, sc.chi, system.loads,
+                          t_end=sc.solver.t_end, tau=sc.solver.tau,
+                          tau_min=sc.solver.tau_min, tau_max=sc.solver.tau_max,
+                          eps=sc.solver.eps)
     return sc, system, records
 
 
@@ -78,10 +71,10 @@ def skewed_system():
 @pytest.fixture(scope="module")
 def skewed(skewed_system):
     sc, system = skewed_system
-    records = _records(system.im, sc.law, sc.chi, system.loads,
-                       t_end=sc.solver.t_end, tau=sc.solver.tau,
-                       tau_min=sc.solver.tau_min, tau_max=sc.solver.tau_max,
-                       eps=sc.solver.eps)
+    records = run_records(system.im, sc.law, sc.chi, system.loads,
+                          t_end=sc.solver.t_end, tau=sc.solver.tau,
+                          tau_min=sc.solver.tau_min, tau_max=sc.solver.tau_max,
+                          eps=sc.solver.eps)
     return sc, system, records
 
 
@@ -92,11 +85,7 @@ def test_criterion_01_patch_test(capsys):
     closed form to 1e-6 relative on a 4-elements-per-side mesh, in < 1 s."""
     E, nu, sigma = 200.0, 0.3, 1.0
     t0 = time.perf_counter()
-    mesh = build_mesh(
-        [[0, 0], [1, 0], [1, 1], [0, 1]],
-        [{"tag": "NxDy", "n": 4}, {"tag": "N", "n": 4},
-         {"tag": "N", "n": 4}, {"tag": "DxNy", "n": 4}],
-    )
+    mesh = square(("NxDy", "N", "N", "DxNy"), n=4)
     im = assemble(mesh, None, Material(young_modulus=E, poisson_ratio=nu))
     dd = im.layout.domains[0]
     f = np.zeros(2 * dd.n_phi)
@@ -281,10 +270,10 @@ def test_criterion_08_energy_adaptivity(capsys, skewed_system, skewed):
     sc, system = skewed_system
     ladders = []
     for eps in (6.4e-2, 1.6e-2, 4e-3):  # N mm
-        recs = _records(system.im, sc.law, sc.chi, system.loads,
-                        t_end=sc.solver.t_end, tau=sc.solver.tau,
-                        tau_min=sc.solver.tau_min, tau_max=sc.solver.tau_max,
-                        eps=eps)
+        recs = run_records(system.im, sc.law, sc.chi, system.loads,
+                           t_end=sc.solver.t_end, tau=sc.solver.tau,
+                           tau_min=sc.solver.tau_min, tau_max=sc.solver.tau_max,
+                           eps=eps)
         ladders.append((eps, recs))
     ladders.append((sc.solver.eps, skewed[2]))  # stock run is eps = 1e-3
     over, under, maxes = 0, 0, []
@@ -359,8 +348,8 @@ def test_criterion_11_friction_jump(capsys, skewed_system):
     series = {}
     for mu in (1.1, 0.2):
         law = ContactLaw(mu=mu, k_g=sc.law.k_g)
-        recs = _records(system.im, law, sc.chi, system.loads,
-                        t_end=sc.solver.t_end, tau=sc.solver.tau)
+        recs = run_records(system.im, law, sc.chi, system.loads,
+                           t_end=sc.solver.t_end, tau=sc.solver.tau)
         series[mu] = _jump_steps(_traction_integral_series(system, recs))
     ok = bool(series[1.1]) and not series[0.2]
     report(capsys, 11, "large-friction separation jump", ok,

@@ -10,22 +10,8 @@ from contactbem.assembly import (
     scatter_solution,
     solve_tbvp,
 )
-from contactbem.mesh import (
-    BoundaryMesh,
-    Material,
-    MeshError,
-    build_mesh,
-    pair_contacts,
-)
-
-MAT = Material(young_modulus=200.0, poisson_ratio=0.3)
-
-
-def square(tags, n=1, side=1.0, origin=(0.0, 0.0)):
-    ox, oy = origin
-    poly = [(ox, oy), (ox + side, oy), (ox + side, oy + side), (ox, oy + side)]
-    spec = [{"tag": t, "n": n} for t in tags]
-    return build_mesh(poly, spec)
+from contactbem.mesh import BoundaryMesh, MeshError, build_mesh
+from oracles import MAT, square, stacked
 
 
 def uniaxial_fields(mat, f):
@@ -151,27 +137,13 @@ def test_patch_uniaxial_single_domain():
             assert sol.p[0][dofs[0]] == pytest.approx(t_ref[0], abs=1e-6 * f)
 
 
-def _stacked_pair(nA, nB, side=1.0):
-    polyB = [(0, 0), (side, 0), (side, side), (0, side)]
-    specB = [{"tag": "D", "n": nB}, {"tag": "N", "n": nB},
-             {"tag": "C", "n": nB}, {"tag": "N", "n": nB}]
-    meshB = build_mesh(polyB, specB, domain_label="B")
-    polyA = [(0, side), (side, side), (side, 2 * side), (0, 2 * side)]
-    specA = [{"tag": "C", "n": nA}, {"tag": "N", "n": nA},
-             {"tag": "N", "n": nA}, {"tag": "N", "n": nA}]
-    meshA = build_mesh(polyA, specA, domain_label="A", allow_floating=True)
-    return meshA, meshB
-
-
 @pytest.mark.parametrize("nA,nB", [(4, 4), (6, 4)])
 def test_patch_transmission_two_domains(nA, nB):
     """Two stacked squares under uniform compression: the coupled system
     transmits the uniaxial state exactly, including across a non-matching
     contact discretization (linear traces live in both trace spaces)."""
     f = -5.0
-    meshA, meshB = _stacked_pair(nA, nB)
-    pair = pair_contacts(meshA, meshB)
-    im = assemble([meshA, meshB], pair, [MAT, MAT])
+    meshA, meshB, pair, im = stacked(nA, nB)
     assert im.asymmetry <= 1e-10
     u_ex, sig = uniaxial_fields(MAT, f)
     ddA, ddB = im.layout.domains
@@ -199,9 +171,7 @@ def test_patch_transmission_two_domains(nA, nB):
 def test_gap_data_rigid_offset():
     """A uniform vertical gap w shifts the floating body rigidly when the
     interface is traction free."""
-    meshA, meshB = _stacked_pair(4, 4)
-    pair = pair_contacts(meshA, meshB)
-    im = assemble([meshA, meshB], pair, [MAT, MAT])
+    meshA, meshB, pair, im = stacked(4, 4)
     g_B = np.zeros(2 * meshB.n_nodes)
     w = np.tile([0.0, 0.04], len(pair.nodes_B))
     sol = solve_tbvp(im, [None, g_B], [None, None], w=w)
@@ -239,10 +209,9 @@ def test_scatter_solution_matches_block_loop():
     """The layout's index arrays place every unknown where the block order
     (pD, vN, pC, vC per domain) says, and keep the prescribed data
     elsewhere."""
-    meshA, meshB = _stacked_pair(3, 2)
-    im = assemble([meshA, meshB], pair_contacts(meshA, meshB), [MAT, MAT])
+    *_, im = stacked(3, 2)
     rng = np.random.default_rng(5)
-    x = rng.normal(size=im.layout.n_unknowns)
+    x = rng.normal(size=len(im.layout.unknown_cols))
     g_D = [rng.normal(size=2 * dd.n_psi) for dd in im.layout.domains]
     f_N = [rng.normal(size=2 * dd.n_phi) for dd in im.layout.domains]
     sol = scatter_solution(im, x, known_data_vector(im, g_D, f_N))
@@ -267,4 +236,4 @@ def test_singular_matrix_raises_assembly_error():
     im.K[:, 0] = 0.0
     im.factorize()
     with pytest.raises(AssemblyError, match="singular assembled matrix"):
-        im.solve(np.ones(im.layout.n_unknowns))
+        im.solve(np.ones(len(im.layout.unknown_cols)))

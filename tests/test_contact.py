@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from contactbem.assembly import assemble
+from contactbem.assembly import solve_tbvp
 from contactbem.contact import (
     ContactError,
     ContactLaw,
@@ -9,31 +9,14 @@ from contactbem.contact import (
     awb_to_y,
     contact_mass,
     frame_matrix,
-    incremental_energy,
     mosco_bounds,
     split_y,
     y_to_awb,
 )
-from contactbem.mesh import Material, build_mesh, pair_contacts
 from contactbem.steklov import SteklovOperator
+from oracles import NO_DATA, gradient, incremental_energy, stacked
 
-MAT = Material(young_modulus=200.0, poisson_ratio=0.3)
 RNG = np.random.default_rng(11)
-NO_DATA = [None, None]  # homogeneous boundary data of both domains
-
-
-def stacked_pair(nA=3, nB=3, side=1.0):
-    polyB = [(0, 0), (side, 0), (side, side), (0, side)]
-    specB = [{"tag": "D", "n": nB}, {"tag": "N", "n": nB},
-             {"tag": "C", "n": nB}, {"tag": "N", "n": nB}]
-    meshB = build_mesh(polyB, specB, domain_label="B")
-    polyA = [(0, side), (side, side), (side, 2 * side), (0, 2 * side)]
-    specA = [{"tag": "C", "n": nA}, {"tag": "N", "n": nA},
-             {"tag": "N", "n": nA}, {"tag": "N", "n": nA}]
-    meshA = build_mesh(polyA, specA, domain_label="A", allow_floating=True)
-    pair = pair_contacts(meshA, meshB)
-    im = assemble([meshA, meshB], pair, [MAT, MAT])
-    return pair, im
 
 
 def test_law_validation():
@@ -90,7 +73,7 @@ def test_frame_round_trip_and_orientation():
     """frame_matrix puts each node's (w_t, w_n) on its x and y entries
     through the node's unit tangent and normal, and its transpose splits
     the global vector back into them."""
-    pair, _ = stacked_pair()
+    _, _, pair, _ = stacked(3, 3)
     n_c = pair.n_master_nodes
     R = frame_matrix(pair)
     w_t, w_n = RNG.normal(size=(2, n_c))
@@ -108,7 +91,7 @@ def test_frame_round_trip_and_orientation():
 
 
 def test_contact_mass_closed_form():
-    pair, _ = stacked_pair(nB=4)
+    _, _, pair, _ = stacked(3, 4)
     M = contact_mass(pair)
     n_c = pair.n_master_nodes
     L = 1.0 / 4
@@ -124,7 +107,7 @@ def test_contact_mass_closed_form():
 def test_incremental_energy_terms():
     law = ContactLaw(mu=0.8, k_g=4e5)
     tau, chi = 1e-3, 1e-3
-    pair, im = stacked_pair()
+    _, _, pair, im = stacked(3, 3)
     op = SteklovOperator(im)
     n_c = pair.n_master_nodes
     zero = np.zeros(n_c)
@@ -151,7 +134,7 @@ def test_smooth_part_gradient_fd():
     elastic gradient plus the quadratic/linear auxiliary terms."""
     law = ContactLaw(mu=0.8, k_g=4e5)
     tau, chi = 1e-3, 5e-4
-    pair, im = stacked_pair()
+    _, _, pair, im = stacked(3, 3)
     op = SteklovOperator(im)
     n_c = pair.n_master_nodes
     alpha = np.abs(RNG.normal(size=n_c)) * 1e-4
@@ -166,8 +149,8 @@ def test_smooth_part_gradient_fd():
                                   law, tau, chi, z)
 
     R = frame_matrix(pair)
-    g = op.gradient(op.solve(R @ np.concatenate([w_t, w_n]), NO_DATA,
-                             NO_DATA))
+    w = R @ np.concatenate([w_t, w_n])
+    g = gradient(op, solve_tbvp(im, NO_DATA, NO_DATA, w=w))
     g_t, g_n = np.split(R.T @ g, 2)
     h = 1e-6
     for i in range(n_c):
@@ -182,7 +165,7 @@ def test_smooth_part_gradient_fd():
 def test_convexity_segments():
     law = ContactLaw(mu=0.8, k_g=4e5)
     tau, chi = 1e-3, 1e-3
-    pair, im = stacked_pair()
+    _, _, pair, im = stacked(3, 3)
     op = SteklovOperator(im)
     n_c = pair.n_master_nodes
     z = GapState(z_t=RNG.normal(size=n_c) * 1e-4,

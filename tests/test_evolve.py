@@ -4,11 +4,10 @@ import pytest
 from contactbem.assembly import (
     InfluenceMatrices,
     _master_w_columns,
-    assemble,
     known_data_vector,
     solve_tbvp,
 )
-from contactbem.contact import ContactLaw, GapState, contact_mass, frame_matrix
+from contactbem.contact import ContactLaw, contact_mass, frame_matrix
 from contactbem.evolve import (
     EnergyResiduum,
     EvolveError,
@@ -20,56 +19,44 @@ from contactbem.evolve import (
     run,
     step,
 )
-from contactbem.mesh import Material, build_mesh, pair_contacts
-from contactbem.qp import build_qp
 from contactbem.steklov import SteklovOperator
-
-MAT = Material(young_modulus=200.0, poisson_ratio=0.3)
-LAW = ContactLaw(mu=0.8, k_g=4e5)
-
-
-def stacked_system(nA=3, nB=3, top_tag="N"):
-    side = 1.0
-    polyB = [(0, 0), (side, 0), (side, side), (0, side)]
-    specB = [{"tag": "D", "n": nB}, {"tag": "N", "n": nB},
-             {"tag": "C", "n": nB}, {"tag": "N", "n": nB}]
-    meshB = build_mesh(polyB, specB, domain_label="B")
-    polyA = [(0, side), (side, side), (side, 2 * side), (0, 2 * side)]
-    specA = [{"tag": "C", "n": nA}, {"tag": "N", "n": nA},
-             {"tag": top_tag, "n": nA}, {"tag": "N", "n": nA}]
-    floating = top_tag == "N"
-    meshA = build_mesh(polyA, specA, domain_label="A",
-                       allow_floating=floating)
-    pair = pair_contacts(meshA, meshB)
-    im = assemble([meshA, meshB], pair, [MAT, MAT])
-    return pair, im
+from oracles import (
+    LAW,
+    delta_pairing,
+    gradient,
+    offset_constant,
+    patch_data,
+    potential,
+    residuum_scale,
+    run_records,
+    stacked,
+    top_pressure,
+)
+from oracles import modified_dirichlet as modified_dirichlet_per_domain
 
 
-def run_records(*args, **kwargs):
-    """The accepted records of a run, collected as it streams them."""
-    records = []
-    assert run(*args, on_step=records.append, **kwargs) is records[-1]
-    return records
-
-
-def top_pressure_vector(im, value):
-    ddA = im.layout.domains[0]
-    meshA = im.pair.mesh_A
-    f = np.zeros(2 * ddA.n_phi)
-    for e in range(meshA.n_elements):
-        if meshA.part_tag[e] == "N" and meshA.normals[e, 1] > 0.5:
-            f[ddA.phi_dofs_of_element(e)[1::2]] = value
-    return f
-
-
-def pressure_ramp(im, f_max, t_ramp, t_end):
-    f1 = top_pressure_vector(im, f_max)
+def pressure_ramp(f_max):
+    """(pair, im, lp): pressure on A's top, ramped to f_max over 5 ms and
+    held there to 10 ms."""
+    _, _, pair, im = stacked(3, 3)
+    f1 = top_pressure(im, f_max)
     nB = 2 * im.layout.domains[1].n_phi
-    return LoadProgram(
-        times=[0.0, t_ramp, t_end],
+    return pair, im, LoadProgram(
+        times=[0.0, 5e-3, 1e-2],
         g_D=[None, np.zeros((3, 2 * im.pair.mesh_B.n_nodes))],
         f_N=[np.stack([0 * f1, f1, f1]), np.zeros((3, nB))],
     )
+
+
+def pressed(dy, dx=0.0):
+    """(pair, im, lp): A's top face, clamped, moves by (dx, dy) over 5 ms
+    and holds there to 10 ms."""
+    _, _, pair, im = stacked(3, 3, top="D")
+    g1 = np.zeros(2 * pair.mesh_A.n_nodes)
+    g1[0::2], g1[1::2] = dx, dy
+    lp = LoadProgram(times=[0.0, 5e-3, 1e-2],
+                     g_D=[np.stack([0 * g1, g1, g1]), None], f_N=[None, None])
+    return pair, im, lp
 
 
 def test_load_program_validation_and_interp():
@@ -94,7 +81,8 @@ def test_modified_dirichlet():
     lpc = LoadProgram(times=[0.0, 1.0], g_D=[np.array([[3.0], [3.0]])],
                       f_N=[None])
     def tilde(loads, t, tau, chi):
-        return modified_dirichlet(loads.g_at(t), loads.g_at(t - tau), tau, chi)
+        return modified_dirichlet(loads.g_at(t)[0], loads.g_at(t - tau)[0],
+                                  tau, chi)
 
     assert tilde(lpc, 0.7, tau, chi=0.5)[0] == pytest.approx(3.0)
     # chi = 0: plain evaluation
@@ -123,8 +111,7 @@ def test_adapt_tau_rules():
 
 
 def test_zero_load_rest():
-    pair, im = stacked_system()
-    nB = 2 * im.layout.domains[1].n_phi
+    _, _, pair, im = stacked(3, 3)
     lp = LoadProgram(times=[0.0, 1.0],
                      g_D=[None, np.zeros((2, 2 * pair.mesh_B.n_nodes))],
                      f_N=[None, None])
@@ -141,8 +128,7 @@ def test_compression_step_physics():
     """Pressing the upper block down closes the gap: compressive contact
     pressure balances the load and penetration follows the compliance law."""
     f = -0.5  # MPa downward on A's top
-    pair, im = stacked_system()
-    lp = pressure_ramp(im, f, t_ramp=5e-3, t_end=1e-2)
+    pair, im, lp = pressure_ramp(f)
     chi, tau = 1e-3, 1e-3
     recs = run_records(im, LAW, chi=chi, loads=lp, t_end=1e-2, tau=tau)
     last = recs[-1]
@@ -157,17 +143,17 @@ def test_compression_step_physics():
     # no interpenetration beyond the compliance bound
     assert last.z.z_n.max() <= 0.0 + 1e-12
     for r in recs:
-        assert r.residuum.delta >= -1e-9 * r.residuum.scale
+        assert r.residuum.delta >= -1e-9 * residuum_scale(r.residuum)
 
 
 def test_gap_recursion_exact():
-    pair, im = stacked_system()
-    lp = pressure_ramp(im, -0.5, t_ramp=5e-3, t_end=1e-2)
+    pair, im, lp = pressure_ramp(-0.5)
     chi, tau = 1e-3, 1e-3
     op = SteklovOperator(im)
-    state = StepRecord.initial(op)
+    data = lp.known(im)
+    state = StepRecord.initial(op, data.at(0.0))
     for _ in range(3):
-        result = step(op, LAW, chi, lp.known(im), state, tau)
+        result = step(op, LAW, chi, data, state, tau)
         # reconstruct w from the recursion and re-apply it
         lam = tau / (tau + chi)
         w_t = (result.z.z_t - (1 - lam) * state.z.z_t) / lam
@@ -178,12 +164,11 @@ def test_gap_recursion_exact():
 
 
 def test_chi_zero_degenerate_recursion():
-    pair, im = stacked_system()
-    lp = pressure_ramp(im, -0.5, t_ramp=5e-3, t_end=1e-2)
+    pair, im, lp = pressure_ramp(-0.5)
     op = SteklovOperator(im)
-    state = StepRecord.initial(op)
-    result = step(op, LAW, chi=0.0, data=lp.known(im), state=state,
-                  tau=1e-3)
+    data = lp.known(im)
+    state = StepRecord.initial(op, data.at(0.0))
+    result = step(op, LAW, chi=0.0, data=data, state=state, tau=1e-3)
     # z^k = w^k when chi = 0: the fictitious trace is the real one
     wcols = _master_w_columns(pair)
     w_master = op.traces(result.s_fict).v[1][wcols]
@@ -192,10 +177,8 @@ def test_chi_zero_degenerate_recursion():
 
 
 def test_ledger_consistency():
-    pair, im = stacked_system()
-    lp = pressure_ramp(im, -0.5, t_ramp=5e-3, t_end=1e-2)
+    pair, im, lp = pressure_ramp(-0.5)
     recs = run_records(im, LAW, chi=1e-3, loads=lp, t_end=1e-2, tau=1e-3)
-    led = None
     state_stored = recs[-1].stored
     # stored(T) - stored(0) + dissipated - work = -sum(delta) by construction;
     # rebuild the sums from the per-step residua independently
@@ -203,7 +186,7 @@ def test_ledger_consistency():
     visc = sum(r.residuum.visc for r in recs)
     work = sum(r.residuum.work_mixed + r.residuum.work_lift
                + r.residuum.work_ext for r in recs)
-    deltas = sum(r.residuum.delta_pairing for r in recs)
+    deltas = sum(delta_pairing(r.residuum) for r in recs)
     lhs = state_stored - 0.0 + r1 + visc - work
     scale = abs(state_stored) + r1 + abs(visc) + abs(work) + 1e-30
     assert lhs == pytest.approx(-deltas, abs=1e-6 * scale)
@@ -214,20 +197,13 @@ def test_ledger_consistency():
 def test_dirichlet_squeeze_lift_terms():
     """Prescribed downward motion of the clamped top face exercises the
     Dirichlet-lift terms of the energy estimate; the inequality must hold."""
-    pair, im = stacked_system(top_tag="D")
-    meshA = im.pair.mesh_A
-    g1 = np.zeros(2 * meshA.n_nodes)
-    g1[1::2] = -2e-4  # push straight down
-    lp = LoadProgram(times=[0.0, 5e-3, 1e-2],
-                     g_D=[np.stack([0 * g1, g1, g1]),
-                          np.zeros((3, 2 * pair.mesh_B.n_nodes))],
-                     f_N=[None, None])
+    pair, im, lp = pressed(-2e-4)  # push straight down
     recs = run_records(im, LAW, chi=1e-3, loads=lp, t_end=1e-2, tau=1e-3)
     last = recs[-1]
     assert last.p_n.min() < -1e-3  # contact is engaged in compression
     assert any(abs(r.residuum.work_mixed) > 0 for r in recs)
     for r in recs:
-        assert r.residuum.delta >= -1e-9 * r.residuum.scale
+        assert r.residuum.delta >= -1e-9 * residuum_scale(r.residuum)
 
 
 def test_no_load_independent_rebuild_per_step(monkeypatch):
@@ -237,11 +213,7 @@ def test_no_load_independent_rebuild_per_step(monkeypatch):
     once, with one multi-RHS backsolve."""
     from contactbem import assembly, contact, evolve, qp, steklov
 
-    pair, im = stacked_system(top_tag="D")
-    g1 = np.zeros(2 * pair.mesh_A.n_nodes)
-    g1[1::2] = -2e-4
-    lp = LoadProgram(times=[0.0, 5e-3, 1e-2],
-                     g_D=[np.stack([0 * g1, g1, g1]), None], f_N=[None, None])
+    pair, im, lp = pressed(-2e-4)
     op = SteklovOperator(im)
     calls = dict.fromkeys(("DomainDof", "contact_mass", "hessian",
                            "SteklovOperator", "solve_tbvp", "solve"), 0)
@@ -263,8 +235,8 @@ def test_no_load_independent_rebuild_per_step(monkeypatch):
     for module in (assembly, evolve, steklov):
         counted(module, "solve_tbvp")
     counted(InfluenceMatrices, "solve")
-    state = StepRecord.initial(op)
     data = lp.known(im)
+    state = StepRecord.initial(op, data.at(0.0))
     Mg, im.Mg = im.Mg, None  # a step that pairs through Mg fails
     for _ in range(4):
         state = step(op, LAW, 1e-3, data, state, 1e-3)
@@ -278,14 +250,7 @@ def test_no_load_independent_rebuild_per_step(monkeypatch):
 
 
 def test_adaptive_run_respects_epsilon():
-    pair, im = stacked_system(top_tag="D")
-    meshA = im.pair.mesh_A
-    g1 = np.zeros(2 * meshA.n_nodes)
-    g1[1::2] = -5e-4
-    lp = LoadProgram(times=[0.0, 5e-3, 1e-2],
-                     g_D=[np.stack([0 * g1, g1, g1]),
-                          np.zeros((3, 2 * pair.mesh_B.n_nodes))],
-                     f_N=[None, None])
+    pair, im, lp = pressed(-5e-4)
     eps = 1e-7
     recs = run_records(im, LAW, chi=1e-3, loads=lp, t_end=1e-2, tau=1e-3,
                        tau_min=1e-6, tau_max=2e-3, eps=eps)
@@ -308,11 +273,7 @@ def test_run_keeps_the_record_step_returns(monkeypatch):
     meets the KKT conditions to roundoff."""
     from contactbem import evolve
 
-    pair, im = stacked_system(top_tag="D")
-    g1 = np.zeros(2 * pair.mesh_A.n_nodes)
-    g1[0::2], g1[1::2] = 1e-3, -5e-4  # press down and drag sideways
-    lp = LoadProgram(times=[0.0, 5e-3, 1e-2],
-                     g_D=[np.stack([0 * g1, g1, g1]), None], f_N=[None, None])
+    pair, im, lp = pressed(-5e-4, 1e-3)  # press down and drag sideways
     law, eps = ContactLaw(mu=0.2, k_g=4e5), 1e-7
     inputs, attempts = [], []
     step_ = evolve.step
@@ -370,11 +331,7 @@ def test_qp_norm_estimated_once_per_step_size(monkeypatch):
     not once per attempted step (a cached part is the same array)."""
     from contactbem import evolve, qp
 
-    pair, im = stacked_system(top_tag="D")
-    g1 = np.zeros(2 * pair.mesh_A.n_nodes)
-    g1[1::2] = -5e-4
-    lp = LoadProgram(times=[0.0, 5e-3, 1e-2],
-                     g_D=[np.stack([0 * g1, g1, g1]), None], f_N=[None, None])
+    pair, im, lp = pressed(-5e-4)
     taus, parts = [], []
     step_, quadratic_part = evolve.step, qp.quadratic_part
 
@@ -399,15 +356,8 @@ def test_contact_traction_extraction_constant_state():
     """On the exact uniaxial transmission state the nodal extraction returns
     the constant traction (p_t, p_n) = (0, f) at every master node."""
     f = -5.0
-    pair, im = stacked_system()
-    E, nu = MAT.young_modulus, MAT.poisson_ratio
-    e22 = f * (1 - nu * nu) / E
-    e11 = -nu * (1 + nu) * f / E
-    meshB = pair.mesh_B
-    g_B = np.zeros(2 * meshB.n_nodes)
-    g_B[0::2] = e11 * meshB.nodes[:, 0]
-    d = known_data_vector(im, [np.zeros(2 * pair.mesh_A.n_nodes), g_B],
-                          [top_pressure_vector(im, f), None])
+    _, _, pair, im = stacked(3, 3)
+    d = known_data_vector(im, *patch_data(im, f))
     s = np.concatenate([d, np.zeros(2 * pair.n_master_nodes)])
     p_t, p_n = contact_tractions(SteklovOperator(im), s)
     assert np.allclose(p_n, f, rtol=1e-6)
@@ -419,11 +369,11 @@ def test_contact_space_step_matches_full_solves():
     offset gradient and potential and the contact force of full solves, and
     all six energy terms and the state traces from fields paired through the
     per-domain mass Mg, under moving Dirichlet data and a Neumann load."""
-    pair, im = stacked_system()
+    _, _, pair, im = stacked(3, 3)
     meshB = pair.mesh_B
     gB = np.zeros(2 * meshB.n_nodes)
     gB[0::2], gB[1::2] = 2e-4, -1e-4  # the support slides and sinks
-    f1 = top_pressure_vector(im, -0.5)
+    f1 = top_pressure(im, -0.5)
     lp = LoadProgram(times=[0.0, 5e-3, 1e-2],
                      g_D=[None, np.stack([0 * gB, gB, 0.5 * gB])],
                      f_N=[np.stack([0 * f1, f1, f1]), None])
@@ -431,7 +381,7 @@ def test_contact_space_step_matches_full_solves():
     op = SteklovOperator(im)
     data = lp.known(im)
     M, W, nk = op.M, im.W, op.n_known
-    state = StepRecord.initial(op)
+    state = StepRecord.initial(op, data.at(0.0))
     u = [np.zeros(2 * dd.n_psi) for dd in im.layout.domains]
     pu = [np.zeros(2 * dd.n_phi) for dd in im.layout.domains]
 
@@ -444,18 +394,18 @@ def test_contact_space_step_matches_full_solves():
     for _ in range(6):
         t_k = state.t + tau
         g_now = lp.g_at(t_k)
-        g_til = modified_dirichlet(g_now, lp.g_at(t_k - tau), tau, chi)
+        g_til = modified_dirichlet_per_domain(g_now, lp.g_at(t_k - tau), tau,
+                                              chi)
         f_k = lp.f_at(t_k)
         d = known_data_vector(im, g_til, f_k)
-        offset = op.solve(np.zeros(op.n_w), g_til, f_k)
-        grad = op.gradient(offset)
+        grad = gradient(op, solve_tbvp(im, g_til, f_k, w=np.zeros(op.n_w)))
         close(-op.G[:, :nk] @ d, grad, np.abs(grad).max())
-        qp = build_qp(op, d, LAW, tau, chi, state.z)
-        close(qp.c, op.potential(offset), abs(op.potential(offset)))
+        phi = potential(op, np.zeros(op.n_w), g_til, f_k)
+        close(offset_constant(op, d), phi, abs(phi))
 
         result = step(op, LAW, chi, data, state, tau)
         close(result.s_fict[:nk], d, np.abs(d).max())
-        sol = op.solve(result.s_fict[nk:], g_til, f_k)
+        sol = solve_tbvp(im, g_til, f_k, w=result.s_fict[nk:])
         force = W.T @ sol.x
         close(op.G @ result.s_fict, force, np.abs(force).max())
         p_xy = np.linalg.solve(M, force.reshape(-1, 2)).ravel()

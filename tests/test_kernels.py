@@ -4,16 +4,10 @@ import numpy as np
 import pytest
 from scipy import integrate
 
-from contactbem.kernels import (
-    KernelError,
-    all_pair_blocks,
-    galerkin_integral,
-    kelvin_T,
-    kelvin_U,
-)
+from contactbem.kernels import KernelError, all_pair_blocks, galerkin_integral
 from contactbem.mesh import BoundaryMesh, Material, build_mesh
+from oracles import MAT, kelvin_T, kelvin_U, square
 
-MAT = Material(young_modulus=200.0, poisson_ratio=0.3)
 RNG = np.random.default_rng(42)
 
 
@@ -187,9 +181,7 @@ def test_near_singular_pair_matches_oracle(kind):
 
 def test_coincident_U_closed_form():
     mat = Material(1.0, 0.0)
-    poly = [(0, 0), (2, 0), (2, 2), (0, 2)]
-    spec = [{"tag": "D", "n": 1}] * 4
-    mesh = build_mesh(poly, spec)
+    mesh = square(("D",) * 4, side=2.0)
     got = galerkin_integral(mesh, 0, 0, "U", mat)
     L = 2.0
     cU = 1.0 / (8 * np.pi * mat.shear_modulus)
@@ -209,9 +201,7 @@ def test_coincident_U_closed_form():
 def test_coincident_U_against_duffy_oracle():
     """Independent numeric evaluation of the coincident singular integral."""
     L, mat = 1.7, MAT
-    poly = [(0, 0), (L, 0), (L, L), (0, L)]
-    spec = [{"tag": "D", "n": 1}] * 4
-    mesh = build_mesh(poly, spec)
+    mesh = square(("D",) * 4, side=L)
     got = galerkin_integral(mesh, 0, 0, "U", mat)
     # oracle: integrate ln|u-s| against shapes by splitting at the diagonal
     cU = 1.0 / (8 * np.pi * mat.shear_modulus * (1 - mat.poisson_ratio))

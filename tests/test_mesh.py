@@ -12,18 +12,7 @@ from contactbem.mesh import (
     build_mesh,
     pair_contacts,
 )
-
-
-def square(tags=("D", "N", "N", "N"), n=1, side=1.0, origin=(0.0, 0.0)):
-    ox, oy = origin
-    poly = [
-        (ox, oy),
-        (ox + side, oy),
-        (ox + side, oy + side),
-        (ox, oy + side),
-    ]
-    spec = [{"tag": t, "n": n} for t in tags]
-    return build_mesh(poly, spec)
+from oracles import square
 
 
 def test_material_invariants():
@@ -106,15 +95,8 @@ def test_dirichlet_required_unless_floating_contact():
 
 
 def test_dirichlet_contact_closure_disjoint():
-    poly = [(0, 0), (1, 0), (1, 1), (0, 1)]
-    spec = [
-        {"tag": "C", "n": 1},
-        {"tag": "D", "n": 1},
-        {"tag": "N", "n": 1},
-        {"tag": "N", "n": 1},
-    ]
     with pytest.raises(MeshError, match="closures"):
-        build_mesh(poly, spec)
+        square(("C", "D", "N", "N"))
 
 
 def test_closed_normal_sum():

@@ -4,37 +4,28 @@ import numpy as np
 import pytest
 
 from contactbem import qp
-from contactbem.assembly import assemble, known_data_vector
-from contactbem.contact import ContactLaw, GapState, incremental_energy, y_to_awb
-from contactbem.mesh import Material, build_mesh, pair_contacts
+from contactbem.assembly import known_data_vector
+from contactbem.contact import GapState, y_to_awb
 from contactbem.qp import QPError, QPProblem, build_qp, solve_qp
 from contactbem.steklov import SteklovOperator
+from oracles import (
+    LAW,
+    incremental_energy,
+    objective,
+    offset_constant,
+    stacked,
+    top_pressure,
+)
 
-MAT = Material(young_modulus=200.0, poisson_ratio=0.3)
 RNG = np.random.default_rng(13)
-LAW = ContactLaw(mu=0.8, k_g=4e5)
 
 
-def stacked_op(nA=2, nB=2, pressure=-2.0):
-    side = 1.0
-    polyB = [(0, 0), (side, 0), (side, side), (0, side)]
-    specB = [{"tag": "D", "n": nB}, {"tag": "N", "n": nB},
-             {"tag": "C", "n": nB}, {"tag": "N", "n": nB}]
-    meshB = build_mesh(polyB, specB, domain_label="B")
-    polyA = [(0, side), (side, side), (side, 2 * side), (0, 2 * side)]
-    specA = [{"tag": "C", "n": nA}, {"tag": "N", "n": nA},
-             {"tag": "N", "n": nA}, {"tag": "N", "n": nA}]
-    meshA = build_mesh(polyA, specA, domain_label="A", allow_floating=True)
-    pair = pair_contacts(meshA, meshB)
-    im = assemble([meshA, meshB], pair, [MAT, MAT])
-    ddA = im.layout.domains[0]
-    f = np.zeros(2 * ddA.n_phi)
-    for e in range(meshA.n_elements):
-        if meshA.part_tag[e] == "N" and meshA.normals[e, 1] > 0.5:
-            f[ddA.phi_dofs_of_element(e)[1::2]] = pressure
-    op = SteklovOperator(im)
-    data = ([None, None], [f, None])
-    return pair, op, data, known_data_vector(im, *data)
+def stacked_op(nA=2, nB=2):
+    """Square A pressed onto square B by -2 MPa: (pair, operator, the
+    boundary data (g_D, f_N) and its known-data vector)."""
+    _, _, pair, im = stacked(nA, nB)
+    data = ([None, None], [top_pressure(im, -2.0), None])
+    return pair, SteklovOperator(im), data, known_data_vector(im, *data)
 
 
 def random_problem(rng, n):
@@ -118,12 +109,13 @@ def test_objective_equals_incremental_energy():
     z = GapState(z_t=np.zeros(n_c), z_n=np.full(n_c, -1e-4))
     tau, chi = 1e-3, 1e-3
     p = build_qp(op, d, LAW, tau, chi, z)
+    c = offset_constant(op, d)  # the constant build_qp leaves out
     for _ in range(3):
         y = RNG.normal(size=p.dim) * 1e-4
         alpha, beta, w_t, w_n = y_to_awb(y)
         e = incremental_energy(w_t, w_n, alpha, beta, op, *data, LAW, tau,
                                chi, z)
-        assert p.objective(y) == pytest.approx(e, rel=1e-9, abs=1e-16)
+        assert objective(p, y, c) == pytest.approx(e, rel=1e-9, abs=1e-16)
 
 
 def test_1d_clamped_minimum():

@@ -1,62 +1,37 @@
 import numpy as np
 import pytest
 
-from contactbem.assembly import (
-    _master_w_columns,
-    assemble,
-    solve_tbvp,
-)
-from contactbem.mesh import Material, build_mesh, pair_contacts
+from contactbem.assembly import _master_w_columns, assemble, solve_tbvp
 from contactbem.steklov import SteklovError, SteklovOperator
+from oracles import (
+    MAT,
+    NO_DATA,
+    energy_pairing,
+    gradient,
+    patch_data,
+    potential,
+    square,
+    stacked,
+    top_pressure,
+)
 
-MAT = Material(young_modulus=200.0, poisson_ratio=0.3)
 RNG = np.random.default_rng(7)
-NO_DATA = [None, None]  # no boundary data on either domain
-
-
-def stacked_pair(nA, nB, side=1.0, clamp_top=False):
-    polyB = [(0, 0), (side, 0), (side, side), (0, side)]
-    specB = [{"tag": "D", "n": nB}, {"tag": "N", "n": nB},
-             {"tag": "C", "n": nB}, {"tag": "N", "n": nB}]
-    meshB = build_mesh(polyB, specB, domain_label="B")
-    polyA = [(0, side), (side, side), (side, 2 * side), (0, 2 * side)]
-    top = "D" if clamp_top else "N"
-    specA = [{"tag": "C", "n": nA}, {"tag": "N", "n": nA},
-             {"tag": top, "n": nA}, {"tag": "N", "n": nA}]
-    meshA = build_mesh(polyA, specA, domain_label="A", allow_floating=True)
-    pair = pair_contacts(meshA, meshB)
-    im = assemble([meshA, meshB], pair, [MAT, MAT])
-    return meshA, meshB, pair, im
 
 
 def test_single_domain_rejected():
-    mesh = build_mesh(
-        [(0, 0), (1, 0), (1, 1), (0, 1)],
-        [{"tag": "D", "n": 1}] + [{"tag": "N", "n": 1}] * 3,
-    )
-    im = assemble(mesh, None, MAT)
+    im = assemble(square(), None, MAT)
     with pytest.raises(SteklovError):
         SteklovOperator(im)
 
 
-def _top_pressure(im, value):
-    ddA = im.layout.domains[0]
-    meshA = im.pair.mesh_A
-    f = np.zeros(2 * ddA.n_phi)
-    for e in range(meshA.n_elements):
-        if meshA.part_tag[e] == "N" and meshA.normals[e, 1] > 0.5:
-            f[ddA.phi_dofs_of_element(e)[1::2]] = value
-    return f
-
-
 def test_superposition():
-    *_, im = stacked_pair(3, 3)
+    *_, im = stacked(3, 3)
     op = SteklovOperator(im)
-    f_N = [_top_pressure(im, -1.0), None]
+    f_N = [top_pressure(im, -1.0), None]
     w = RNG.normal(size=op.n_w) * 1e-3
-    full = op.solve(w, [None, None], f_N)
-    offset = op.solve(np.zeros(op.n_w), [None, None], f_N)
-    hom = op.solve(w, NO_DATA, NO_DATA)
+    full = solve_tbvp(im, [None, None], f_N, w=w)
+    offset = solve_tbvp(im, [None, None], f_N, w=np.zeros(op.n_w))
+    hom = solve_tbvp(im, NO_DATA, NO_DATA, w=w)
     for d in range(2):
         assert np.allclose(full.p[d], offset.p[d] + hom.p[d], atol=1e-12)
         assert np.allclose(full.v[d], offset.v[d] + hom.v[d], atol=1e-12)
@@ -65,14 +40,14 @@ def test_superposition():
 def test_hessian_equals_column_construction():
     """The multi-RHS Hessian equals the one built column by column from the
     gradient of the homogeneous response to each unit gap."""
-    *_, im = stacked_pair(4, 3)
+    *_, im = stacked(4, 3)
     op = SteklovOperator(im)
     n = op.n_w
     H_ref = np.empty((n, n))
     for i in range(n):
         e = np.zeros(n)
         e[i] = 1.0
-        H_ref[:, i] = op.gradient(op.solve(e, NO_DATA, NO_DATA))
+        H_ref[:, i] = gradient(op, solve_tbvp(im, NO_DATA, NO_DATA, w=e))
     H_ref = 0.5 * (H_ref + H_ref.T)
     assert np.abs(op.H - H_ref).max() <= 1e-12 * np.abs(H_ref).max()
 
@@ -80,7 +55,7 @@ def test_hessian_equals_column_construction():
 def test_hessian_psd_with_rigid_nullspace():
     """With the upper body supported only through the contact, gap fields
     equal to its rigid-motion traces cost no energy; everything else does."""
-    meshA, meshB, pair, im = stacked_pair(4, 4)
+    meshA, meshB, pair, im = stacked(4, 4)
     op = SteklovOperator(im)
     H = op.H
     assert H.shape == (op.n_w, op.n_w)
@@ -98,12 +73,12 @@ def test_hessian_psd_with_rigid_nullspace():
     assert ev[3] > 1e-3 * scale  # strictly positive off the rigid modes
     # potential equals the quadratic form of H (homogeneous data)
     w = RNG.normal(size=op.n_w) * 1e-3
-    hom = op.solve(w, NO_DATA, NO_DATA)
-    assert op.potential(hom) == pytest.approx(0.5 * w @ H @ w, rel=1e-10)
+    assert potential(op, w, NO_DATA, NO_DATA) == pytest.approx(
+        0.5 * w @ H @ w, rel=1e-10)
 
 
 def test_hessian_pd_when_upper_body_clamped():
-    *_, im = stacked_pair(3, 3, clamp_top=True)
+    *_, im = stacked(3, 3, top="D")
     op = SteklovOperator(im)
     ev = np.linalg.eigvalsh(op.H)
     assert ev.min() > 0.0
@@ -111,19 +86,19 @@ def test_hessian_pd_when_upper_body_clamped():
 
 def test_gradient_matches_finite_differences():
     """Potential gradient under nonzero boundary data via central FD."""
-    meshA, meshB, pair, im = stacked_pair(3, 3)
+    meshA, meshB, pair, im = stacked(3, 3)
     g_B = np.zeros(2 * meshB.n_nodes)
     g_B[0::2] = 1e-4  # uniform horizontal shift of the support
     op = SteklovOperator(im)
-    data = ([None, g_B], [_top_pressure(im, -2.0), None])
+    data = ([None, g_B], [top_pressure(im, -2.0), None])
     w0 = RNG.normal(size=op.n_w) * 1e-3
-    g = op.gradient(op.solve(w0, *data))
+    g = gradient(op, solve_tbvp(im, *data, w=w0))
     h = 1e-6
     for i in range(op.n_w):
         e = np.zeros(op.n_w)
         e[i] = h
-        de = (op.potential(op.solve(w0 + e, *data))
-              - op.potential(op.solve(w0 - e, *data))) / (2 * h)
+        de = (potential(op, w0 + e, *data)
+              - potential(op, w0 - e, *data)) / (2 * h)
         assert de == pytest.approx(g[i], rel=1e-6, abs=1e-10)
 
 
@@ -131,17 +106,12 @@ def test_pairing_energy_agrees_on_patch_state():
     """On a state both trial spaces represent exactly (uniform compression)
     the pairing energy and the potential-calculus energy coincide."""
     f = -5.0
-    meshA, meshB, pair, im = stacked_pair(4, 4)
+    *_, im = stacked(4, 4)
     op = SteklovOperator(im)
-    E, nu = MAT.young_modulus, MAT.poisson_ratio
-    # g_D on B's bottom must match the uniaxial state: u = 0 there only if
-    # u1 = e11 x1 is zero, so prescribe the exact trace instead
-    e11 = -nu * (1 + nu) * f / E
-    g_B = np.zeros(2 * meshB.n_nodes)
-    g_B[0::2] = e11 * meshB.nodes[:, 0]
-    sol = op.solve(np.zeros(op.n_w), [None, g_B], [_top_pressure(im, f), None])
-    e_pair = op.energy_pairing(sol)
+    sol = solve_tbvp(im, *patch_data(im, f), w=np.zeros(op.n_w))
+    e_pair = energy_pairing(op, sol)
     # exact strain energy density * area for uniaxial plane strain
+    E, nu = MAT.young_modulus, MAT.poisson_ratio
     e22 = f * (1 - nu * nu) / E
     density = 0.5 * f * e22
     assert e_pair == pytest.approx(2.0 * density, rel=1e-6)
@@ -160,10 +130,9 @@ def _face_mass(mesh, dd, face):
     return Mf
 
 
-def _single_domain_trace_operator(poly, spec, contact_pred, master_pos):
+def _single_domain_trace_operator(mesh, contact_pred, master_pos):
     """Mass-projected trace-to-traction operator of one body with its
     contact face clamped, columns ordered by master node positions."""
-    mesh = build_mesh(poly, spec)
     im = assemble(mesh, None, MAT)
     dd = im.layout.domains[0]
     face = [e for e in range(mesh.n_elements) if contact_pred(mesh, e)]
@@ -186,22 +155,16 @@ def _single_domain_trace_operator(poly, spec, contact_pred, master_pos):
 
 
 def _series_error(n):
-    meshA, meshB, pair, im = stacked_pair(n, n)
+    meshA, meshB, pair, im = stacked(n, n)
     H = SteklovOperator(im).H
     master_pos = [pair.mesh_B.nodes[nd] for nd in pair.nodes_B]
-    polyB = [(0, 0), (1, 0), (1, 1), (0, 1)]
-    specB = [{"tag": "D", "n": n}, {"tag": "N", "n": n},
-             {"tag": "D", "n": n}, {"tag": "N", "n": n}]
     S_B = _single_domain_trace_operator(
-        polyB, specB,
+        square(("D", "N", "D", "N"), n),
         lambda mesh, e: mesh.part_tag[e] == "D" and mesh.normals[e, 1] > 0.5,
         master_pos,
     )
-    polyA = [(0, 1), (1, 1), (1, 2), (0, 2)]
-    specA = [{"tag": "D", "n": n}, {"tag": "N", "n": n},
-             {"tag": "N", "n": n}, {"tag": "N", "n": n}]
     S_A = _single_domain_trace_operator(
-        polyA, specA,
+        square(("D", "N", "N", "N"), n, origin=(0.0, 1.0)),
         lambda mesh, e: mesh.part_tag[e] == "D",
         master_pos,
     )
@@ -221,14 +184,10 @@ def test_gradient_equals_master_traction_on_smooth_state():
     """Uniform compression: the exact contact traction is constant, so the
     energy-calculus gradient and the mass-projected master traction agree."""
     f = -5.0
-    meshA, meshB, pair, im = stacked_pair(4, 4)
-    E, nu = MAT.young_modulus, MAT.poisson_ratio
-    e11 = -nu * (1 + nu) * f / E
-    g_B = np.zeros(2 * meshB.n_nodes)
-    g_B[0::2] = e11 * meshB.nodes[:, 0]
+    meshA, meshB, pair, im = stacked(4, 4)
     op = SteklovOperator(im)
-    sol = op.solve(np.zeros(op.n_w), [None, g_B], [_top_pressure(im, f), None])
-    g = op.gradient(sol)
+    sol = solve_tbvp(im, *patch_data(im, f), w=np.zeros(op.n_w))
+    g = gradient(op, sol)
     # master-side traction projected onto the nodal gap basis
     face = [e for e in range(meshB.n_elements) if meshB.part_tag[e] == "C"]
     M_w = _face_mass(meshB, im.layout.domains[1], face)[:, _master_w_columns(pair)]

@@ -15,6 +15,7 @@ from contactbem import cli, evolve
 from contactbem.contact import GapState, awb_to_y, mosco_bounds, y_to_awb
 from contactbem.evolve import EnergyResiduum, modified_dirichlet
 from contactbem.qp import QPProblem, quadratic_part, solve_qp
+from oracles import objective, traction
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 sys.path.insert(0, str(PERFBENCH))
@@ -50,7 +51,7 @@ def reference_qp(op, d, law, tau, chi, z_prev):
     b = -np.concatenate([0.5 * fric + 0.5 * g_off_t,
                          0.5 * fric - 0.5 * g_off_t, -g_off_n, g_off_n])
     return QPProblem(A=A, b=b, xi=mosco_bounds(z_prev, tau, chi),
-                     c=float(-0.5 * d @ (op.P @ d)), slip_pairs=True)
+                     slip_pairs=True)
 
 
 def reference_step(op, law, chi, data, state, tau):
@@ -60,14 +61,14 @@ def reference_step(op, law, chi, data, state, tau):
     t_k = state.t + tau
     d_now = data.at(t_k)
     d_old = np.where(data.dirichlet, data.at(t_k - tau), d_now)
-    d_tilde, = modified_dirichlet([d_now], [d_old], tau, chi)
+    d_tilde = modified_dirichlet(d_now, d_old, tau, chi)
     qp = reference_qp(op, d_tilde, law, tau, chi, state.z)
     qsol = solve_qp(qp, active=state.active)
     _, _, w_t, w_n = y_to_awb(qsol.y)
     lam = tau / (tau + chi)
     beta_c = np.maximum(0.0, -(1.0 + chi / tau) * state.z.z_n)
     y_comp = awb_to_y(np.zeros_like(beta_c), beta_c, state.z.z_t, state.z.z_n)
-    delta = lam * (qp.objective(y_comp) - qp.objective(qsol.y))
+    delta = lam * (objective(qp, y_comp) - objective(qp, qsol.y))
     s_fict = np.concatenate([d_tilde, frame_join(pair, w_t, w_n)])
     z_new = GapState(z_t=lam * w_t + (1 - lam) * state.z.z_t,
                      z_n=lam * w_n + (1 - lam) * state.z.z_n)
@@ -90,7 +91,7 @@ def reference_step(op, law, chi, data, state, tau):
     res = EnergyResiduum(r1=r1, visc=visc, stored_new=stored_new,
                          stored_old=state.stored, work_mixed=work_mixed,
                          work_lift=work_lift, work_ext=work_ext, delta=delta)
-    p_t, p_n = frame_split(pair, op.traction @ s_fict)
+    p_t, p_n = frame_split(pair, traction(op) @ s_fict)
     fields = dict(k=state.k + 1, t=t_k, tau=tau, z_t=z_new.z_t,
                   z_n=z_new.z_n, s=s_new, stored=stored_new, y=qsol.y,
                   active=qsol.active, qp_iterations=qsol.iterations,
@@ -130,7 +131,7 @@ def magnitudes(op, fields: dict, forms: dict, stored_old: float) -> dict:
     mags.update({name: sum(c * (u @ (np.abs(A) @ v)) for c, u, A, v in terms)
                  for name, terms in forms.items()})
     mags["stored"], mags["stored_old"] = mags["stored_new"], abs(stored_old)
-    mags["p_t"] = mags["p_n"] = (np.abs(op.traction)
+    mags["p_t"] = mags["p_n"] = (np.abs(traction(op))
                                  @ np.abs(fields["s_fict"])).max()
     return mags
 

@@ -38,6 +38,14 @@ class ConfigError(ValueError):
     pass
 
 
+# libyaml's parser and emitter where PyYAML has them, at a fifth of the time;
+# the constructor, resolver and representer are the same Python classes
+if yaml.__with_libyaml__:
+    YAML_LOADER, YAML_DUMPER = yaml.CSafeLoader, yaml.CSafeDumper
+else:
+    YAML_LOADER, YAML_DUMPER = yaml.SafeLoader, yaml.SafeDumper
+
+
 # Elements per domain.  Set-up holds dense pair blocks and system matrices,
 # O(m^2) in a domain's m elements: about 1 kB per element pair (313 MB peak
 # RSS for the receding preset at refine 80, 288 + 448 elements), so two
@@ -174,12 +182,19 @@ def _parse_loads(raw, path, n_times, value_key):
 
 
 def parse_scenario(doc) -> Scenario:
-    """Validate a scenario document (YAML text or mapping), strictly."""
+    """Validate a scenario document (YAML str/bytes or mapping), strictly."""
     if isinstance(doc, (str, bytes)):
+        # a one-line error: the byte of a character that does not decode,
+        # else the line and column (1-based) of every other load error
         try:
-            doc = yaml.safe_load(doc)
-        except yaml.YAMLError as exc:
-            raise ConfigError(f"malformed YAML: {exc}")
+            doc = yaml.load(doc, Loader=YAML_LOADER)
+        except yaml.reader.ReaderError as exc:
+            raise ConfigError(f"malformed YAML at byte {exc.position}: "
+                              f"{exc.reason}")
+        except yaml.MarkedYAMLError as exc:
+            mark = exc.problem_mark
+            raise ConfigError(f"malformed YAML at line {mark.line + 1}, "
+                              f"column {mark.column + 1}: {exc.problem}")
     if not isinstance(doc, dict):
         raise ConfigError("scenario document must be a mapping")
     doc = dict(doc)
@@ -657,7 +672,7 @@ def run_scenario(sc: Scenario, out_dir) -> StepRecord:
                                   [d.material for d in sc.domains]),
     }
     (out / "run_manifest.yaml").write_text(
-        yaml.safe_dump(manifest, sort_keys=False))
+        yaml.dump(manifest, Dumper=YAML_DUMPER, sort_keys=False))
     snap_dir = out / "snapshots"
     if sc.solver.plot_every:
         snap_dir.mkdir(exist_ok=True)
@@ -729,10 +744,12 @@ def _load_scenario(args) -> Scenario:
     elif args.preset:
         doc = PRESETS[args.preset]()
     elif args.scenario:
-        path = Path(args.scenario)
-        if not path.exists():
-            raise ConfigError(f"scenario file not found: {path}")
-        doc = path.read_text()
+        # the loader decodes the bytes: bad UTF-8 is a located YAML error
+        try:
+            doc = Path(args.scenario).read_bytes()
+        except OSError as exc:
+            raise ConfigError(f"cannot read scenario file {args.scenario}: "
+                              f"{exc.strerror}")
     else:
         raise ConfigError("a scenario file or --preset is required")
     sc = parse_scenario(doc)
@@ -753,13 +770,16 @@ def main(argv=None) -> int:
     try:
         sc = _load_scenario(args)
         if args.export:
-            print(yaml.safe_dump(scenario_to_dict(sc), sort_keys=False),
-                  end="")
+            print(yaml.dump(scenario_to_dict(sc), Dumper=YAML_DUMPER,
+                            sort_keys=False), end="")
             return 0
         out = args.out or f"out-{sc.name}"
         last = run_scenario(sc, out)
     except (ConfigError, MeshError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
+        return 2
+    except OSError as exc:  # a run opens no file but its outputs
+        print(f"cannot write output: {exc}", file=sys.stderr)
         return 2
     except (EvolveError, QPError, KernelError, AssemblyError, SteklovError,
             ContactError) as exc:

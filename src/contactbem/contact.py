@@ -41,7 +41,9 @@ class ContactLaw:
 
 @dataclass
 class GapState:
-    """Nodal displacement gap on the contact, split in the master frame."""
+    """Nodal displacement gap on the contact, split in the master frame,
+    and its penetration magnitude beta = max(0, -z_n), the frozen friction
+    weight of the next step."""
 
     z_t: np.ndarray  # mm, tangential component per master node
     z_n: np.ndarray  # mm, normal component (negative = penetration)
@@ -51,6 +53,7 @@ class GapState:
         self.z_n = np.asarray(self.z_n, dtype=float)
         if self.z_t.shape != self.z_n.shape or self.z_t.ndim != 1:
             raise ContactError("gap components must be equal-length vectors")
+        self.beta = np.maximum(0.0, -self.z_n)
 
     @classmethod
     def rest(cls, n_nodes: int) -> "GapState":
@@ -59,10 +62,6 @@ class GapState:
     @property
     def n_nodes(self) -> int:
         return len(self.z_t)
-
-    def beta_prev(self) -> np.ndarray:
-        """Penetration magnitude max(0, -z_n), the frozen friction weight."""
-        return np.maximum(0.0, -self.z_n)
 
 
 # -- Mosco change of variables ------------------------------------------------
@@ -77,30 +76,6 @@ def mosco_bounds(z_prev: GapState, tau: float, chi: float) -> np.ndarray:
     return np.concatenate(
         [z_prev.z_t, -z_prev.z_t, zero, -(chi / tau) * z_prev.z_n]
     )
-
-
-def split_y(y: np.ndarray):
-    """Views of the four equal-length blocks of a stacked y vector."""
-    n = len(y) // 4
-    if 4 * n != len(y):
-        raise ContactError("y length must be a multiple of four")
-    return y[:n], y[n:2 * n], y[2 * n:3 * n], y[3 * n:]
-
-
-def y_to_awb(y: np.ndarray):
-    """Recover (alpha, beta, w_t, w_n) from the bound-constrained variables."""
-    y1, y2, y3, y4 = split_y(np.asarray(y, dtype=float))
-    alpha = 0.5 * (y1 + y2)
-    w_t = 0.5 * (y1 - y2)
-    beta = y3.copy()
-    w_n = y4 - y3
-    return alpha, beta, w_t, w_n
-
-
-def awb_to_y(alpha, beta, w_t, w_n) -> np.ndarray:
-    """Stack (alpha, beta, w_t, w_n) into the bound-constrained variables."""
-    alpha, beta, w_t, w_n = map(np.asarray, (alpha, beta, w_t, w_n))
-    return np.concatenate([alpha + w_t, alpha - w_t, beta, beta + w_n])
 
 
 # -- master-frame rotation and contact mass -----------------------------------

@@ -40,9 +40,7 @@ from .assembly import (
 from .contact import (
     ContactLaw,
     GapState,
-    awb_to_y,
     contact_mass,  # unused here; perfbench/probe.py wraps evolve.contact_mass
-    y_to_awb,
 )
 # perfbench/probe.py wraps the step's QP solve under its former name
 from .qp import QPError, build_qp
@@ -77,10 +75,12 @@ class LoadProgram:
                     for tab in self.f_N]
 
     def g_at(self, t):
-        return _interp(self.times, self.g_D, t)
+        return [None if tab is None else _interp(self.times, tab, t)
+                for tab in self.g_D]
 
     def f_at(self, t):
-        return _interp(self.times, self.f_N, t)
+        return [None if tab is None else _interp(self.times, tab, t)
+                for tab in self.f_N]
 
     def known(self, im) -> "KnownData":
         """The program as known-data vectors of the assembly im."""
@@ -101,18 +101,17 @@ class KnownData:
     dirichlet: np.ndarray  # True at the prescribed displacement entries
 
     def at(self, t) -> np.ndarray:
-        return _interp(self.times, [self.table], t)[0]
+        return _interp(self.times, self.table, t)
 
 
-def _interp(times, tables, t):
-    """Every table at time t, from one bracket of the breakpoints."""
+def _interp(times, table, t):
+    """The rows of table at the breakpoints times, interpolated at time t."""
     if len(times) == 1:
-        return [None if tab is None else tab[0] for tab in tables]
+        return table[0]
     t = min(max(t, times[0]), times[-1])
     j = min(max(bisect.bisect_right(times, t) - 1, 0), len(times) - 2)
     lam = (t - times[j]) / (times[j + 1] - times[j])
-    return [None if tab is None else (1 - lam) * tab[j] + lam * tab[j + 1]
-            for tab in tables]
+    return (1 - lam) * table[j] + lam * table[j + 1]
 
 
 def modified_dirichlet(d_now, d_old, tau: float, chi: float) -> np.ndarray:
@@ -203,22 +202,28 @@ def step(op: SteklovOperator, law: ContactLaw, chi: float, data: KnownData,
         d_now, np.where(data.dirichlet, d_old, d_now), tau, chi)
     qp = build_qp(op, d_tilde, law, tau, chi, state.z)
     qsol = mprgp_solve(qp, active=state.active)
-    _, _, w_t, w_n = y_to_awb(qsol.y)
+    y, n = qsol.y, state.z.n_nodes
+    # the gap w of y (contact.py): w_t = (y1 - y2)/2, w_n = y4 - y3
+    w_t = 0.5 * (y[:n] - y[n:2 * n])
+    w_n = y[3 * n:] - y[2 * n:3 * n]
     # energy residuum: minimality gap of the incremental functional against
     # the do-nothing competitor (previous gap state carried over unchanged),
     # mapped from the fictitious to the physical displacement scale by the
     # same convex factor as the state recursion; the functional's constant
     # cancels
     lam = tau / (tau + chi)
-    beta_c = np.maximum(0.0, -(1.0 + chi / tau) * state.z.z_n)
-    Y = np.array([awb_to_y(0.0, beta_c, state.z.z_t, state.z.z_n), qsol.y])
+    z_t, z_n = state.z.z_t, state.z.z_n
+    beta_c = np.maximum(0.0, -(1.0 + chi / tau) * z_n)
+    # rows: the competitor alpha = 0, beta = beta_c, w = z_prev as y, then y
+    Y = np.concatenate([0.0 + z_t, 0.0 - z_t, beta_c, beta_c + z_n,
+                        y]).reshape(2, -1)
     obj = ((0.5 * (Y @ qp.A) - qp.b) * Y).sum(axis=1)  # A is symmetric
     delta = lam * float(obj[0] - obj[1])
 
-    s_fict = np.concatenate([d_tilde, op.B @ qsol.y])
-    z_new = GapState(z_t=lam * w_t + (1 - lam) * state.z.z_t,
-                     z_n=lam * w_n + (1 - lam) * state.z.z_n)
-    dz_t = np.abs(z_new.z_t - state.z.z_t)
+    s_fict = np.concatenate([d_tilde, op.B @ y])
+    z_new = GapState(z_t=lam * w_t + (1 - lam) * z_t,
+                     z_n=lam * w_n + (1 - lam) * z_n)
+    dz_t = np.abs(z_new.z_t - z_t)
     # rows s_new, ds, the lift increment s_lift and state.s; every Q form
     # of the residuum is an entry of S Q S^T
     S = np.zeros((4, len(state.s)))
@@ -231,10 +236,10 @@ def step(op: SteklovOperator, law: ContactLaw, chi: float, data: KnownData,
     SQS = (S @ Q @ S.T).tolist()
     s_new, ds = S[0], S[1]
 
-    beta_new = z_new.beta_prev()
+    beta_new = z_new.beta
     stored_new = 0.5 * (SQS[0][0]
                         + law.k_g * float(beta_new @ (M @ beta_new)))
-    r1 = law.mu * law.k_g * state.z.beta_prev() @ (M @ dz_t)
+    r1 = law.mu * law.k_g * state.z.beta @ (M @ dz_t)
     visc = (chi / tau) * SQS[1][1]
     work_mixed = SQS[3][2] + (chi / tau) * SQS[1][2]
     work_lift = 0.5 * SQS[2][2]
@@ -245,7 +250,7 @@ def step(op: SteklovOperator, law: ContactLaw, chi: float, data: KnownData,
                          work_lift=work_lift, work_ext=work_ext, delta=delta)
     p_t, p_n = contact_tractions(op, s_fict)
     return StepRecord(k=state.k + 1, t=t_k, tau=tau, z=z_new, s=s_new,
-                      stored=stored_new, op=op, y=qsol.y, active=qsol.active,
+                      stored=stored_new, op=op, y=y, active=qsol.active,
                       residuum=res, qp_iterations=qsol.iterations,
                       s_fict=s_fict, p_t=p_t, p_n=p_n, slip=dz_t > 1e-10,
                       d=d_now)
@@ -293,8 +298,8 @@ def run(im, law: ContactLaw, chi: float, loads: LoadProgram, *, t_end: float,
     record if no step was taken).  Rejections halve the step and a step at
     tau_min is always accepted, so the march cannot stall.
     """
-    tau_min = tau if tau_min is None else tau_min
-    tau_max = tau if tau_max is None else tau_max
+    if eps is not None and (tau_min is None or tau_max is None):
+        raise EvolveError("adaptive stepping (eps) needs tau_min and tau_max")
     op = SteklovOperator(im)
     data = loads.known(im)
     rec = StepRecord.initial(op, data.at(0.0))

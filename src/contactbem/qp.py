@@ -96,7 +96,7 @@ def build_qp(op, d: np.ndarray, law: ContactLaw, tau: float, chi: float,
     A = quadratic_part(op, c_beta)
     n = op.n_w // 2
     b = op.BtG_R @ d
-    fric = (0.5 * law.mu * law.k_g) * (op.M @ z_prev.beta_prev())
+    fric = (0.5 * law.mu * law.k_g) * (op.M @ z_prev.beta)
     b[:n] -= fric
     b[n:2 * n] -= fric
     xi = mosco_bounds(z_prev, tau, chi)

@@ -1,13 +1,14 @@
 """Test oracles and shared fixtures.  The oracles compute by a plainer
 route what the library computes (which keeps only what a run executes):
 the Kelvin kernels point by point, the potential calculus from full solves,
-the energy terms from trace pairings.  The main fixture is square A resting
+the energy terms from trace pairings, the QP variables' change of variables
+as functions.  The main fixture is square A resting
 on square B, in contact along y = side, with B clamped at its bottom."""
 
 import numpy as np
 
 from contactbem.assembly import assemble, known_data_vector, solve_tbvp
-from contactbem.contact import ContactLaw, frame_matrix
+from contactbem.contact import ContactError, ContactLaw, frame_matrix
 from contactbem.evolve import modified_dirichlet as modified_data, run
 from contactbem.kernels import KernelError
 from contactbem.mesh import Material, build_mesh, pair_contacts
@@ -98,6 +99,32 @@ def kelvin_T(x, y, n_y, mat: Material) -> np.ndarray:
     )
 
 
+# -- the QP variables y = (alpha + w_t, alpha - w_t, beta, beta + w_n) ---------
+
+def split_y(y: np.ndarray):
+    """Views of the four equal-length blocks of a stacked y vector."""
+    n = len(y) // 4
+    if 4 * n != len(y):
+        raise ContactError("y length must be a multiple of four")
+    return y[:n], y[n:2 * n], y[2 * n:3 * n], y[3 * n:]
+
+
+def y_to_awb(y: np.ndarray):
+    """Recover (alpha, beta, w_t, w_n) from the bound-constrained variables."""
+    y1, y2, y3, y4 = split_y(np.asarray(y, dtype=float))
+    alpha = 0.5 * (y1 + y2)
+    w_t = 0.5 * (y1 - y2)
+    beta = y3.copy()
+    w_n = y4 - y3
+    return alpha, beta, w_t, w_n
+
+
+def awb_to_y(alpha, beta, w_t, w_n) -> np.ndarray:
+    """Stack (alpha, beta, w_t, w_n) into the bound-constrained variables."""
+    alpha, beta, w_t, w_n = map(np.asarray, (alpha, beta, w_t, w_n))
+    return np.concatenate([alpha + w_t, alpha - w_t, beta, beta + w_n])
+
+
 # -- full solves and their energy calculus ------------------------------------
 # With the coupled system K x = R_known d + W w, the elastic potential of the
 # solved state is -x^T (R_known d + W w) / 2 and its gap gradient -W^T x.
@@ -154,7 +181,7 @@ def incremental_energy(w_t, w_n, alpha, beta, op, g_D, f_N, law: ContactLaw,
     w = frame_matrix(op.im.pair) @ np.concatenate([w_t, w_n])
     e = potential(op, w, g_D, f_N)
     e += 0.5 * (tau * law.k_g / (tau + chi)) * beta @ (M @ beta)
-    e += law.mu * law.k_g * (z_prev.beta_prev() @ (M @ alpha))
+    e += law.mu * law.k_g * (z_prev.beta @ (M @ alpha))
     return float(e)
 
 

@@ -9,14 +9,16 @@ import yaml
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from contactbem import cli
-from contactbem.assembly import AssemblyError
+from contactbem import __version__, cli
+from contactbem.assembly import AssemblyError, geometry_hash
 from contactbem.cli import (
     ConfigError,
     PRESETS,
+    build_mesh,
     build_system,
     main,
     parse_scenario,
+    preset_receding,
     scenario_to_dict,
 )
 from contactbem.contact import ContactError
@@ -295,6 +297,69 @@ def test_main_exit_codes(tmp_path, capsys):
                      "--out", str(tmp_path / "out")]) == 2, (flag, value)
         err = capsys.readouterr().err.strip()
         assert match in err and "\n" not in err, (flag, value, err)
+
+
+@pytest.mark.parametrize("text,match", [
+    # the problem is where the stream ends, on the line after the last
+    (b"name: tiny\nchi: [unclosed\n", "at line 3, column 1: "),
+    (b"\tname: tiny\n", "at line 1, column 1: "),
+    # a byte that is not UTF-8 is located by its offset
+    (b"name: \xff\n", "at byte 6: "),
+])
+def test_main_malformed_yaml_is_one_located_line(text, match, tmp_path,
+                                                 capsys):
+    path = tmp_path / "bad.yaml"
+    path.write_bytes(text)
+    assert main(["run", str(path), "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err.strip()
+    assert err.startswith("config error: malformed YAML " + match), err
+    assert "\n" not in err
+
+
+def test_main_unreadable_scenario_file_exits_2(tmp_path, capsys):
+    for path, reason in [(tmp_path, "Is a directory"),
+                         (tmp_path / "missing.yaml", "No such file")]:
+        assert main(["run", str(path), "--out", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err.strip()
+        assert f"cannot read scenario file {path}: {reason}" in err
+        assert "\n" not in err
+
+
+def test_main_out_naming_a_file_exits_2(tmp_path, capsys):
+    out = tmp_path / "taken"
+    out.write_text("")
+    assert main(["run", "--preset", "receding", "--out", str(out)]) == 2
+    err = capsys.readouterr().err.strip()
+    assert err.startswith("cannot write output: ") and str(out) in err
+    assert "\n" not in err
+
+
+@pytest.mark.skipif(not yaml.__with_libyaml__, reason="PyYAML without libyaml")
+@pytest.mark.parametrize("doc", [
+    *[preset_receding(refine) for refine in (10, 20, 40)],
+    *[PRESETS[name]() for name in ("conforming", "skewed")], tiny_scenario()],
+    ids=lambda doc: doc["name"])
+def test_libyaml_and_pure_python_yaml_agree(doc):
+    """cli reads and writes YAML through libyaml where PyYAML has it.  The
+    pure-Python classes it falls back to write the same bytes for the
+    export and the manifest of a scenario, and read the same documents."""
+    assert (cli.YAML_LOADER, cli.YAML_DUMPER) == (yaml.CSafeLoader,
+                                                  yaml.CSafeDumper)
+    sc = parse_scenario(doc)
+    meshes = [build_mesh(d.polyline, d.parts, domain_label=d.label,
+                         allow_floating=d.allow_floating) for d in sc.domains]
+    manifest = {  # as run_scenario writes it
+        "scenario": scenario_to_dict(sc),
+        "version": __version__,
+        "geometry": geometry_hash(meshes, [d.material for d in sc.domains]),
+    }
+    for document in (scenario_to_dict(sc), manifest):
+        text = yaml.dump(document, Dumper=yaml.CSafeDumper, sort_keys=False)
+        assert text == yaml.dump(document, Dumper=yaml.SafeDumper,
+                                 sort_keys=False)
+        for source in (text, text.encode()):
+            assert (yaml.load(source, Loader=yaml.CSafeLoader)
+                    == yaml.load(source, Loader=yaml.SafeLoader) == document)
 
 
 def test_main_runs_scenario_file(tmp_path, capsys):

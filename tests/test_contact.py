@@ -6,15 +6,20 @@ from contactbem.contact import (
     ContactError,
     ContactLaw,
     GapState,
-    awb_to_y,
     contact_mass,
     frame_matrix,
     mosco_bounds,
-    split_y,
-    y_to_awb,
 )
 from contactbem.steklov import SteklovOperator
-from oracles import NO_DATA, gradient, incremental_energy, stacked
+from oracles import (
+    NO_DATA,
+    awb_to_y,
+    gradient,
+    incremental_energy,
+    split_y,
+    stacked,
+    y_to_awb,
+)
 
 RNG = np.random.default_rng(11)
 

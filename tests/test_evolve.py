@@ -110,6 +110,17 @@ def test_adapt_tau_rules():
         adapt_tau(res(0.5), 0.0, 1e-3, 1e-6, 1e-2)
 
 
+def test_adaptive_run_needs_both_step_bounds():
+    """eps turns adaptivity on, which reads tau_min and tau_max; run has no
+    default for them (parse_scenario resolves a scenario's), so it refuses
+    to march without both."""
+    _, im, lp = pressed(-5e-4)
+    for bounds in ({}, {"tau_min": 1e-6}, {"tau_max": 2e-3}):
+        with pytest.raises(EvolveError, match="needs tau_min and tau_max"):
+            run(im, LAW, chi=1e-3, loads=lp, t_end=1e-2, tau=1e-3, eps=1e-7,
+                **bounds)
+
+
 def test_zero_load_rest():
     _, _, pair, im = stacked(3, 3)
     lp = LoadProgram(times=[0.0, 1.0],
@@ -418,12 +429,12 @@ def test_contact_space_step_matches_full_solves():
         du = [a - b for a, b in zip(u_new, u)]
         dp = [a - b for a, b in zip(pu_new, pu)]
         z, z_old = result.z, state.z
-        beta = z.beta_prev()
+        beta = np.maximum(0.0, -z.z_n)
         dg = [None if gn is None else gn - go
               for gn, go in zip(g_now, lp.g_at(state.t))]
         lift = solve_tbvp(im, dg, [None, None], w=np.zeros(op.n_w))
         ref = {
-            "r1": LAW.mu * LAW.k_g * z_old.beta_prev() @ (
+            "r1": LAW.mu * LAW.k_g * np.maximum(0.0, -z_old.z_n) @ (
                 M @ np.abs(z.z_t - z_old.z_t)),
             "visc": (chi / tau) * pairing(dp, du),
             "stored_new": 0.5 * pairing(pu_new, u_new)

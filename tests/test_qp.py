@@ -5,7 +5,7 @@ import pytest
 
 from contactbem import qp
 from contactbem.assembly import known_data_vector
-from contactbem.contact import GapState, y_to_awb
+from contactbem.contact import GapState
 from contactbem.qp import QPError, QPProblem, build_qp, solve_qp
 from contactbem.steklov import SteklovOperator
 from oracles import (
@@ -15,6 +15,7 @@ from oracles import (
     offset_constant,
     stacked,
     top_pressure,
+    y_to_awb,
 )
 
 RNG = np.random.default_rng(13)

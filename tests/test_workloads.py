@@ -12,10 +12,10 @@ import numpy as np
 import pytest
 
 from contactbem import cli, evolve
-from contactbem.contact import GapState, awb_to_y, mosco_bounds, y_to_awb
+from contactbem.contact import GapState, mosco_bounds
 from contactbem.evolve import EnergyResiduum, modified_dirichlet
 from contactbem.qp import QPProblem, quadratic_part, solve_qp
-from oracles import objective, traction
+from oracles import awb_to_y, objective, traction, y_to_awb
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 sys.path.insert(0, str(PERFBENCH))
@@ -47,7 +47,7 @@ def frame_split(pair, w):
 def reference_qp(op, d, law, tau, chi, z_prev):
     A = quadratic_part(op, tau * law.k_g / (tau + chi))
     g_off_t, g_off_n = frame_split(op.im.pair, -(op.G[:, :op.n_known] @ d))
-    fric = law.mu * law.k_g * (op.M @ z_prev.beta_prev())
+    fric = law.mu * law.k_g * (op.M @ np.maximum(0.0, -z_prev.z_n))
     b = -np.concatenate([0.5 * fric + 0.5 * g_off_t,
                          0.5 * fric - 0.5 * g_off_t, -g_off_n, g_off_n])
     return QPProblem(A=A, b=b, xi=mosco_bounds(z_prev, tau, chi),
@@ -75,10 +75,10 @@ def reference_step(op, law, chi, data, state, tau):
     s_new = lam * s_fict + (1 - lam) * state.s
     ds = s_new - state.s
     dz_t = np.abs(z_new.z_t - state.z.z_t)
-    beta_new = z_new.beta_prev()
+    beta_new = np.maximum(0.0, -z_new.z_n)
     stored_new = 0.5 * float(s_new @ (Q @ s_new)
                              + law.k_g * beta_new @ (M @ beta_new))
-    beta_prev = state.z.beta_prev()
+    beta_prev = np.maximum(0.0, -state.z.z_n)
     r1 = law.mu * law.k_g * beta_prev @ (M @ dz_t)
     visc = (chi / tau) * float(ds @ (Q @ ds))
     d_start = data.at(state.t)

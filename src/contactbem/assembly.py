@@ -50,56 +50,51 @@ class DomainDof:
 
     mesh: BoundaryMesh
     mat: Material
-    phi_of: np.ndarray = None  # (m, 2) -> phi node id
-    n_phi: int = 0
-    phi_tag: list = None  # tag per phi node
-    trac_unknown: np.ndarray = None  # bool (2 n_phi)
-    disp_known: np.ndarray = None  # bool (2 n_nodes)
+    phi_of: np.ndarray = field(init=False)  # (m, 2) -> phi node id
+    n_phi: int = field(init=False)
+    phi_tag: np.ndarray = field(init=False)  # tag per phi node
+    # (m, 4) scalar dofs (x, y at the start, x, y at the end) of each element
+    phi_dofs: np.ndarray = field(init=False)
+    psi_dofs: np.ndarray = field(init=False)
+    trac_unknown: np.ndarray = field(init=False)  # bool (2 n_phi)
+    disp_known: np.ndarray = field(init=False)  # bool (2 n_nodes)
     # local block index lists (scalar dof ids in phi/psi spaces)
-    pD: np.ndarray = None
-    pC: np.ndarray = None
-    vN: np.ndarray = None
-    vC: np.ndarray = None
+    pD: np.ndarray = field(init=False)
+    pC: np.ndarray = field(init=False)
+    vN: np.ndarray = field(init=False)
+    vC: np.ndarray = field(init=False)
 
     def __post_init__(self):
         mesh = self.mesh
         m = mesh.n_elements
-        tags = mesh.part_tag
+        tags = np.array(mesh.part_tag)
         # merge decision per shared mesh node between consecutive elements:
         # the same tag and no geometric corner
         prev = np.roll(np.arange(m), 1)
         tp, te = mesh.tangents[prev], mesh.tangents
         merged_with_prev = ((mesh.elements[prev, 1] == mesh.elements[:, 0])
-                            & (np.array(tags)[prev] == np.array(tags))
+                            & (tags[prev] == tags)
                             & (abs(tp[:, 0] * te[:, 1] - tp[:, 1] * te[:, 0])
                                <= CORNER_TOL)
                             & ((tp * te).sum(1) >= 0))
-        self.phi_of = np.zeros((m, 2), dtype=np.int64)
-        nid = 0
-        self.phi_tag = []
-        for e in range(m):
-            if e > 0 and merged_with_prev[e]:
-                self.phi_of[e, 0] = self.phi_of[e - 1, 1]
-            else:
-                self.phi_of[e, 0] = nid
-                self.phi_tag.append(tags[e])
-                nid += 1
-            self.phi_of[e, 1] = nid
-            self.phi_tag.append(tags[e])
-            nid += 1
-        # wraparound: merge the end of the last element into the start of the
-        # first one; the dropped id is always the freshest, so popping is safe
-        if merged_with_prev[0]:
-            self.phi_of[m - 1, 1] = self.phi_of[0, 0]
-            nid -= 1
-            self.phi_tag.pop()
-        self.n_phi = nid
+        # element ends in order (start, end of element 0, then of 1, ...);
+        # every end and every unmerged start opens the next node id, a
+        # merged start takes the id of the end before it
+        opens = np.ones((m, 2), dtype=bool)
+        opens[1:, 0] = ~merged_with_prev[1:]
+        # wraparound: the end of the last element merges into the start of
+        # the first one; it would open the last id, which wraps to 0
+        self.n_phi = int(opens.sum()) - int(merged_with_prev[0])
+        self.phi_of = (np.cumsum(opens).reshape(m, 2) - 1) % self.n_phi
+        self.phi_tag = np.repeat(tags, 2)[opens.ravel()][:self.n_phi]
+        self.phi_dofs = np.repeat(2 * self.phi_of, 2, axis=1) + [0, 1, 0, 1]
+        self.psi_dofs = np.repeat(2 * mesh.elements, 2, axis=1) + [0, 1, 0, 1]
 
         # a traction component is unknown where its displacement is
         # prescribed and on the contact; a displacement component is
         # prescribed at every node of an element that prescribes it, and a
         # contact node keeps both displacement components unknown
-        phi_contact = np.repeat(np.array(self.phi_tag) == "C", 2)
+        phi_contact = np.repeat(self.phi_tag == "C", 2)
         self.trac_unknown = phi_contact | np.array(
             [TAG_DIRICHLET_MASK[t] for t in self.phi_tag]).ravel()
         n = mesh.n_nodes
@@ -108,7 +103,7 @@ class DomainDof:
         disp_known[mesh.elements[e_dir].T, k_dir] = True
         self.disp_known = disp_known.ravel()
         contact_node = np.zeros(n, dtype=bool)
-        contact_node[mesh.elements[np.array(tags) == "C"]] = True
+        contact_node[mesh.elements[tags == "C"]] = True
         contact_dof = np.repeat(contact_node, 2)
         if np.any(contact_dof & self.disp_known):
             raise AssemblyError("contact node carries Dirichlet data")
@@ -126,24 +121,14 @@ class DomainDof:
         """Full column width: all phi dofs then all psi dofs."""
         return 2 * self.n_phi + 2 * self.n_psi
 
-    def phi_dofs_of_element(self, e: int) -> np.ndarray:
-        p0, p1 = self.phi_of[e]
-        return np.array([2 * p0, 2 * p0 + 1, 2 * p1, 2 * p1 + 1])
-
-    def psi_dofs_of_element(self, e: int) -> np.ndarray:
-        a, b = self.mesh.elements[e]
-        return np.array([2 * a, 2 * a + 1, 2 * b, 2 * b + 1])
-
 
 def _domain_matrices(dd: DomainDof):
     """Dense U (phi x phi), T (phi x psi), S (psi x psi), M (phi x psi)."""
     mesh = dd.mesh
-    m = mesh.n_elements
     U, T, S = all_pair_blocks(mesh, dd.mat)
     nF = 2 * dd.n_phi
     nP = 2 * dd.n_psi
-    RI = np.array([dd.phi_dofs_of_element(e) for e in range(m)])
-    PI = np.array([dd.psi_dofs_of_element(e) for e in range(m)])
+    RI, PI = dd.phi_dofs, dd.psi_dofs
     # pair blocks (i, j, a, b) land at (dofs of i)[a], (dofs of j)[b]
     rows_F, rows_P = RI[:, None, :, None], PI[:, None, :, None]
     cols_F, cols_P = RI[None, :, None, :], PI[None, :, None, :]

@@ -186,15 +186,25 @@ def parse_scenario(doc) -> Scenario:
     if isinstance(doc, (str, bytes)):
         # a one-line error: the byte of a character that does not decode,
         # else the line and column (1-based) of every other load error
+        loader, mark = YAML_LOADER(doc), None
         try:
-            doc = yaml.load(doc, Loader=YAML_LOADER)
+            doc = loader.get_single_data()
         except yaml.reader.ReaderError as exc:
             raise ConfigError(f"malformed YAML at byte {exc.position}: "
                               f"{exc.reason}")
         except yaml.MarkedYAMLError as exc:
-            mark = exc.problem_mark
+            mark, problem = exc.problem_mark, exc.problem
+        except (ValueError, AttributeError, KeyError):
+            # a tagged scalar its constructor cannot convert (!!int abc)
+            # raises unmarked; it is the node the loader has open last
+            node = list(loader.recursive_objects)[-1]
+            mark = node.start_mark
+            problem = f"cannot convert {node.value!r} to {node.tag}"
+        finally:
+            loader.dispose()
+        if mark is not None:
             raise ConfigError(f"malformed YAML at line {mark.line + 1}, "
-                              f"column {mark.column + 1}: {exc.problem}")
+                              f"column {mark.column + 1}: {problem}")
     if not isinstance(doc, dict):
         raise ConfigError("scenario document must be a mapping")
     doc = dict(doc)
@@ -532,11 +542,11 @@ def build_system(sc: Scenario) -> BuiltSystem:
         els = _segment_elements(meshes[d], len(sc.domains[d].polyline),
                                 entry["segment"])
         # (x, y) traction dofs at both ends of every element
-        dofs = np.reshape([dd.phi_dofs_of_element(e) for e in els], (-1, 2))
+        dofs = dd.phi_dofs[els].reshape(-1, 2)
         _reject_dropped(entry, dd.trac_unknown[dofs], f"loads.neumann[{i}]",
                         "traction")
         f_tabs[d][:, dofs] = entry["values"][:, None, :]
-    loads = LoadProgram(times=sc.load_times, g_D=g_tabs, f_N=f_tabs)
+    loads = LoadProgram.from_tables(im, sc.load_times, g_tabs, f_tabs)
     return BuiltSystem(meshes=meshes, pair=pair, im=im, loads=loads)
 
 

@@ -54,64 +54,36 @@ class EvolveError(RuntimeError):
 
 @dataclass
 class LoadProgram:
-    """Piecewise-linear-in-time boundary data for both domains.
+    """Piecewise-linear-in-time boundary data as known-data vectors
+    (known_data_vector order), one row per breakpoint; values are clamped
+    outside [times[0], times[-1]]."""
 
-    g_D[d] is None or an array (n_times, 2 * n_nodes) of nodal Dirichlet
-    values; f_N[d] is None or (n_times, 2 * n_phi) of traction coefficients.
-    Values are clamped outside [times[0], times[-1]].
-    """
-
-    times: np.ndarray
-    g_D: list
-    f_N: list
-
-    def __post_init__(self):
-        self.times = np.asarray(self.times, dtype=float)
-        if len(self.times) < 1 or np.any(np.diff(self.times) <= 0.0):
-            raise EvolveError("load breakpoints must be strictly increasing")
-        self.g_D = [None if tab is None else np.asarray(tab, dtype=float)
-                    for tab in self.g_D]
-        self.f_N = [None if tab is None else np.asarray(tab, dtype=float)
-                    for tab in self.f_N]
-
-    def g_at(self, t):
-        return [None if tab is None else _interp(self.times, tab, t)
-                for tab in self.g_D]
-
-    def f_at(self, t):
-        return [None if tab is None else _interp(self.times, tab, t)
-                for tab in self.f_N]
-
-    def known(self, im) -> "KnownData":
-        """The program as known-data vectors of the assembly im."""
-        table = [known_data_vector(im, self.g_at(t), self.f_at(t))
-                 for t in self.times]
-        ones = [np.ones(2 * dd.n_psi) for dd in im.layout.domains]
-        dirichlet = known_data_vector(im, ones, [None] * len(ones)) > 0.0
-        return KnownData(self.times.tolist(), np.array(table), dirichlet)
-
-
-@dataclass
-class KnownData:
-    """A load program as known-data vectors (known_data_vector order), so a
-    step interpolates one vector per time instead of every domain table."""
-
-    times: list  # the breakpoints, as floats for bisect
+    times: list  # the breakpoints, strictly increasing floats
     table: np.ndarray  # (n_times, n_known)
     dirichlet: np.ndarray  # True at the prescribed displacement entries
 
+    @classmethod
+    def from_tables(cls, im, times, g_D, f_N) -> "LoadProgram":
+        """The program of per-domain breakpoint tables: g_D[d] (n_times,
+        2 n_psi) of nodal Dirichlet values, f_N[d] (n_times, 2 n_phi) of
+        traction coefficients, either None for no data."""
+        def row(tabs, j):
+            return [None if tab is None else tab[j] for tab in tabs]
+        table = [known_data_vector(im, row(g_D, j), row(f_N, j))
+                 for j in range(len(times))]
+        ones = [np.ones(2 * dd.n_psi) for dd in im.layout.domains]
+        dirichlet = known_data_vector(im, ones, [None] * len(ones)) > 0.0
+        return cls(list(times), np.array(table), dirichlet)
+
     def at(self, t) -> np.ndarray:
-        return _interp(self.times, self.table, t)
-
-
-def _interp(times, table, t):
-    """The rows of table at the breakpoints times, interpolated at time t."""
-    if len(times) == 1:
-        return table[0]
-    t = min(max(t, times[0]), times[-1])
-    j = min(max(bisect.bisect_right(times, t) - 1, 0), len(times) - 2)
-    lam = (t - times[j]) / (times[j + 1] - times[j])
-    return (1 - lam) * table[j] + lam * table[j + 1]
+        """The known-data vector at time t."""
+        times, table = self.times, self.table
+        if len(times) == 1:
+            return table[0]
+        t = min(max(t, times[0]), times[-1])
+        j = min(max(bisect.bisect_right(times, t) - 1, 0), len(times) - 2)
+        lam = (t - times[j]) / (times[j + 1] - times[j])
+        return (1 - lam) * table[j] + lam * table[j + 1]
 
 
 def modified_dirichlet(d_now, d_old, tau: float, chi: float) -> np.ndarray:
@@ -182,7 +154,7 @@ class StepRecord:
         return self.op.traces(self.s).v
 
 
-def step(op: SteklovOperator, law: ContactLaw, chi: float, data: KnownData,
+def step(op: SteklovOperator, law: ContactLaw, chi: float, data: LoadProgram,
          state: StepRecord, tau: float) -> StepRecord:
     """One semi-implicit step of size tau from the given accepted record.
 
@@ -301,12 +273,11 @@ def run(im, law: ContactLaw, chi: float, loads: LoadProgram, *, t_end: float,
     if eps is not None and (tau_min is None or tau_max is None):
         raise EvolveError("adaptive stepping (eps) needs tau_min and tau_max")
     op = SteklovOperator(im)
-    data = loads.known(im)
-    rec = StepRecord.initial(op, data.at(0.0))
+    rec = StepRecord.initial(op, loads.at(0.0))
     while rec.t < t_end - 1e-12 * t_end:
         tau_k = min(tau, t_end - rec.t)
         try:
-            attempt = step(op, law, chi, data, rec, tau_k)
+            attempt = step(op, law, chi, loads, rec, tau_k)
         except QPError as exc:
             raise EvolveError(f"QP failed at t={rec.t + tau_k:.6g}: {exc}")
         if eps is not None:

@@ -7,7 +7,8 @@ on square B, in contact along y = side, with B clamped at its bottom."""
 
 import numpy as np
 
-from contactbem.assembly import assemble, known_data_vector, solve_tbvp
+from contactbem.assembly import (assemble, known_data_vector, scatter_solution,
+                                 solve_tbvp)
 from contactbem.contact import ContactError, ContactLaw, frame_matrix
 from contactbem.evolve import modified_dirichlet as modified_data, run
 from contactbem.kernels import KernelError
@@ -49,7 +50,7 @@ def top_pressure(im, value):
     f = np.zeros(2 * ddA.n_phi)
     for e in range(meshA.n_elements):
         if meshA.part_tag[e] == "N" and meshA.normals[e, 1] > 0.5:
-            f[ddA.phi_dofs_of_element(e)[1::2]] = value
+            f[ddA.phi_dofs[e, 1::2]] = value
     return f
 
 
@@ -197,6 +198,21 @@ def run_records(*args, **kwargs) -> list:
     return records
 
 
+def tables_at(times, tables, t) -> list:
+    """Per-domain breakpoint tables (rows at times, None for no data)
+    interpolated at t column by column, clamped outside the breakpoints."""
+    return [None if tab is None
+            else np.array([np.interp(t, times, col) for col in tab.T])
+            for tab in tables]
+
+
+def domain_data(im, d):
+    """Per-domain (g_D, f_N) of a known-data vector d: full nodal and
+    traction arrays, zero on the components d does not prescribe."""
+    sol = scatter_solution(im, np.zeros(len(im.layout.unknown_cols)), d)
+    return sol.v, sol.p
+
+
 def modified_dirichlet(g_now, g_old, tau, chi) -> list:
     """Per-domain modified Dirichlet data; None where a domain has none."""
     return [None if gn is None else modified_data(gn, go, tau, chi)
@@ -204,14 +220,6 @@ def modified_dirichlet(g_now, g_old, tau, chi) -> list:
 
 
 # -- energy residuum ----------------------------------------------------------
-
-def delta_pairing(res) -> float:
-    """A step's energy imbalance from its logged terms (an EnergyResiduum):
-    right side minus left side of the energy estimate."""
-    right = res.stored_old + res.work_mixed + res.work_lift + res.work_ext
-    left = res.r1 + res.visc + res.stored_new
-    return right - left
-
 
 def residuum_scale(res) -> float:
     """Size of an EnergyResiduum's terms, for relative bounds."""

@@ -30,7 +30,8 @@ from contactbem.contact import ContactLaw, GapState, contact_mass
 from contactbem.mesh import Material
 from contactbem.qp import QPProblem, build_qp, solve_qp
 from contactbem.steklov import SteklovOperator
-from oracles import modified_dirichlet, run_records, split_y, square, y_to_awb
+from oracles import (domain_data, modified_dirichlet, run_records, split_y,
+                     square, y_to_awb)
 
 
 def report(capsys, num, name, ok, detail):
@@ -93,7 +94,7 @@ def test_criterion_01_patch_test(capsys):
         mid = 0.5 * (mesh.nodes[mesh.elements[e][0]]
                      + mesh.nodes[mesh.elements[e][1]])
         if abs(mid[1] - 1.0) < 1e-12:  # top face carries the tension
-            dofs = dd.phi_dofs_of_element(e)
+            dofs = dd.phi_dofs[e]
             f[dofs[1]] = sigma
             f[dofs[3]] = sigma
     sol = solve_tbvp(im, [np.zeros(2 * mesh.n_nodes)], [f])
@@ -207,11 +208,11 @@ def test_criterion_05_coulomb_cone(capsys, receding):
     """
     sc, system, records = receding
     rec, z_prev = records[-1], records[-2].z
-    g_til = modified_dirichlet(system.loads.g_at(rec.t),
-                               system.loads.g_at(rec.t - rec.tau),
-                               rec.tau, sc.chi)
+    g_now, f_now = domain_data(system.im, system.loads.at(rec.t))
+    g_old, _ = domain_data(system.im, system.loads.at(rec.t - rec.tau))
+    g_til = modified_dirichlet(g_now, g_old, rec.tau, sc.chi)
     op = SteklovOperator(system.im)
-    d = known_data_vector(system.im, g_til, system.loads.f_at(rec.t))
+    d = known_data_vector(system.im, g_til, f_now)
     qp = build_qp(op, d, sc.law, rec.tau, sc.chi, z_prev)
     g1, g2, _, _ = split_y(qp.A @ rec.y - qp.b)
     F_t = g1 - g2  # nodal tangential contact force

@@ -56,8 +56,8 @@ def test_mass_matrix_closed_form():
     mesh = square(("D", "N", "N", "N"), side=2.0)
     dd = DomainDof(mesh, MAT)
     Mg = _domain_matrices(dd)[3]
-    rows = dd.phi_dofs_of_element(0)
-    cols = dd.psi_dofs_of_element(0)
+    rows = dd.phi_dofs[0]
+    cols = dd.psi_dofs[0]
     B = Mg[np.ix_(rows, cols)]
     L = 2.0
     ref = np.zeros((4, 4))
@@ -107,7 +107,7 @@ def _neumann_data(dd, sig):
     mesh = dd.mesh
     for e, n in enumerate(mesh.normals):
         t = sig @ n
-        dofs = dd.phi_dofs_of_element(e)
+        dofs = dd.phi_dofs[e]
         f_N[dofs[0]], f_N[dofs[1]] = t
         f_N[dofs[2]], f_N[dofs[3]] = t
     return f_N
@@ -130,7 +130,7 @@ def test_patch_uniaxial_single_domain():
     # reaction tractions: bottom roller carries -f, left roller nothing
     for e, n in enumerate(mesh.normals):
         t_ref = sig @ n
-        dofs = dd.phi_dofs_of_element(e)
+        dofs = dd.phi_dofs[e]
         if mesh.part_tag[e] == "NxDy":
             assert sol.p[0][dofs[1]] == pytest.approx(t_ref[1], abs=1e-6 * f)
         if mesh.part_tag[e] == "DxNy":
@@ -160,11 +160,11 @@ def test_patch_transmission_two_domains(nA, nB):
     # contact tractions: master side carries sigma . n_B = (0, f) and the
     # opposing side the exact negative
     for e in pair.elements_B:
-        dofs = ddB.phi_dofs_of_element(e)
+        dofs = ddB.phi_dofs[e]
         assert sol.p[1][dofs[1]] == pytest.approx(f, rel=1e-6)
         assert sol.p[1][dofs[0]] == pytest.approx(0.0, abs=1e-6 * abs(f))
     for e in pair.elements_A:
-        dofs = ddA.phi_dofs_of_element(e)
+        dofs = ddA.phi_dofs[e]
         assert sol.p[0][dofs[1]] == pytest.approx(-f, rel=1e-6)
 
 

@@ -25,6 +25,7 @@ from contactbem.contact import ContactError
 from contactbem.kernels import KernelError
 from contactbem.mesh import MeshError
 from contactbem.steklov import SteklovError
+from oracles import domain_data
 
 
 def tiny_scenario(**solver):
@@ -112,14 +113,14 @@ def test_unknown_keys_of_mixed_types_rejected():
 def test_neumann_load_lands_on_requested_segment():
     sc = parse_scenario(tiny_scenario())
     system = build_system(sc)
-    f_end = system.loads.f_at(4e-3)
+    _, f_end = domain_data(system.im, system.loads.at(4e-3))
     # layer top carries -0.5 in y; everything else stays zero
     fA = f_end[0]
     assert fA.min() == -0.5
     dd = system.im.layout.domains[0]
     loaded = set()
     for e in range(system.meshes[0].n_elements):
-        if np.any(fA[dd.phi_dofs_of_element(e)]):
+        if np.any(fA[dd.phi_dofs[e]]):
             loaded.add(e)
     mids = [0.5 * (system.meshes[0].nodes[a] + system.meshes[0].nodes[b])
             for a, b in (system.meshes[0].elements[e] for e in loaded)]
@@ -140,14 +141,35 @@ def test_load_segment_elements_at_any_scale(scale):
     for ds in doc["domains"]:
         ds["polyline"] = (scale * np.array(ds["polyline"], float)).tolist()
     system = build_system(parse_scenario(doc))
-    fA = system.loads.f_at(4e-3)[0]
+    fA = domain_data(system.im, system.loads.at(4e-3))[1][0]
     dd = system.im.layout.domains[0]
     loaded = [e for e in range(system.meshes[0].n_elements)
-              if np.any(fA[dd.phi_dofs_of_element(e)])]
+              if np.any(fA[dd.phi_dofs[e]])]
     assert loaded == [0, 1, 2, 3]
     doc["loads"]["neumann"][0]["segment"] = 4
     with pytest.raises(ConfigError, match="polyline has 4 segments"):
         build_system(parse_scenario(doc))
+
+
+def test_one_load_breakpoint_holds_the_loads(tmp_path, monkeypatch):
+    """loads.times may have one entry: its loads hold from t = 0 on, as
+    the same loads given at 0 and at t_end do."""
+    runs = []
+    for times, traction in (([0.0], [[0, -0.5]]),
+                            ([0.0, 4e-3], [[0, -0.5], [0, -0.5]])):
+        doc = tiny_scenario()
+        doc["loads"]["times"] = times
+        doc["loads"]["neumann"][0]["traction"] = traction
+        runs.append(run_collecting(monkeypatch, parse_scenario(doc),
+                                   tmp_path / str(len(times))))
+        monkeypatch.undo()
+    one, two = runs
+    assert len(one) == len(two) == 4
+    p_max = max(np.abs(r.p_n).max() for r in two)
+    assert p_max > 0.1
+    for a, b in zip(one, two):
+        assert a.t == b.t
+        assert np.abs(a.p_n - b.p_n).max() <= 1e-12 * p_max
 
 
 def run_collecting(monkeypatch, sc, out_dir):
@@ -299,12 +321,28 @@ def test_main_exit_codes(tmp_path, capsys):
         assert match in err and "\n" not in err, (flag, value, err)
 
 
+# PyYAML's constructors raise ValueError, ValueError, AttributeError and
+# KeyError on these, without a location
+UNCONVERTIBLE_SCALARS = [
+    (b"name: !!int abc\n",
+     "at line 1, column 7: cannot convert 'abc' to tag:yaml.org,2002:int"),
+    (b"name: tiny\na: !!float x\n",
+     "at line 2, column 4: cannot convert 'x' to tag:yaml.org,2002:float"),
+    (b"a: !!timestamp nope\n", "at line 1, column 4: cannot convert 'nope' "
+     "to tag:yaml.org,2002:timestamp"),
+    (b"a: [{b: !!bool maybe}]\n", "at line 1, column 9: cannot convert "
+     "'maybe' to tag:yaml.org,2002:bool"),
+]
+
+
 @pytest.mark.parametrize("text,match", [
     # the problem is where the stream ends, on the line after the last
     (b"name: tiny\nchi: [unclosed\n", "at line 3, column 1: "),
     (b"\tname: tiny\n", "at line 1, column 1: "),
     # a byte that is not UTF-8 is located by its offset
     (b"name: \xff\n", "at byte 6: "),
+    # a tagged scalar that does not convert is located at its node
+    *UNCONVERTIBLE_SCALARS,
 ])
 def test_main_malformed_yaml_is_one_located_line(text, match, tmp_path,
                                                  capsys):
@@ -314,6 +352,20 @@ def test_main_malformed_yaml_is_one_located_line(text, match, tmp_path,
     err = capsys.readouterr().err.strip()
     assert err.startswith("config error: malformed YAML " + match), err
     assert "\n" not in err
+
+
+@pytest.mark.parametrize("text,match", UNCONVERTIBLE_SCALARS)
+def test_unconvertible_scalar_message_is_the_same_with_both_loaders(
+        text, match, monkeypatch):
+    """Both YAML loaders report a tagged scalar that does not convert with
+    the same line, column and problem."""
+    messages = []
+    for loader in {yaml.SafeLoader, cli.YAML_LOADER}:
+        monkeypatch.setattr(cli, "YAML_LOADER", loader)
+        with pytest.raises(ConfigError, match=match) as err:
+            parse_scenario(text)
+        messages.append(str(err.value))
+    assert len(set(messages)) == 1
 
 
 def test_main_unreadable_scenario_file_exits_2(tmp_path, capsys):

@@ -124,7 +124,7 @@ def _face_mass(mesh, dd, face):
         L = mesh.lengths[e]
         np.add.at(
             Mf,
-            (dd.phi_dofs_of_element(e)[:, None], dd.psi_dofs_of_element(e)[None, :]),
+            (dd.phi_dofs[e][:, None], dd.psi_dofs[e][None, :]),
             np.kron([[L / 3, L / 6], [L / 6, L / 3]], np.eye(2)),
         )
     return Mf

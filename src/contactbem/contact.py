@@ -49,10 +49,6 @@ class GapState:
     z_n: np.ndarray  # mm, normal component (negative = penetration)
 
     def __post_init__(self):
-        self.z_t = np.asarray(self.z_t, dtype=float)
-        self.z_n = np.asarray(self.z_n, dtype=float)
-        if self.z_t.shape != self.z_n.shape or self.z_t.ndim != 1:
-            raise ContactError("gap components must be equal-length vectors")
         self.beta = np.maximum(0.0, -self.z_n)
 
     @classmethod
@@ -68,10 +64,6 @@ class GapState:
 
 def mosco_bounds(z_prev: GapState, tau: float, chi: float) -> np.ndarray:
     """Lower bounds xi for the transformed variables y >= xi."""
-    if not tau > 0.0:
-        raise ContactError(f"time step must be positive: {tau}")
-    if chi < 0.0:
-        raise ContactError(f"relaxation time must be nonnegative: {chi}")
     zero = np.zeros(z_prev.n_nodes)
     return np.concatenate(
         [z_prev.z_t, -z_prev.z_t, zero, -(chi / tau) * z_prev.z_n]

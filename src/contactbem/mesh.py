@@ -36,14 +36,6 @@ class Material:
     poisson_ratio: float
     relaxation_time: float = 0.0  # chi, s, shared by both domains
 
-    def __post_init__(self):
-        if self.young_modulus <= 0:
-            raise MeshError("young_modulus must be positive")
-        if not (0.0 <= self.poisson_ratio < 0.5):
-            raise MeshError("poisson_ratio must lie in [0, 0.5)")
-        if self.relaxation_time < 0:
-            raise MeshError("relaxation_time must be nonnegative")
-
     @property
     def shear_modulus(self) -> float:
         return self.young_modulus / (2.0 * (1.0 + self.poisson_ratio))
@@ -73,11 +65,6 @@ class BoundaryMesh:
         self.nodes = np.asarray(self.nodes, dtype=float)
         self.elements = np.asarray(self.elements, dtype=np.int64)
         self.segment = np.asarray(self.segment, dtype=np.int64)
-        if not len(self.part_tag) == len(self.segment) == len(self.elements):
-            raise MeshError("one part tag and segment per element required")
-        for t in self.part_tag:
-            if t not in VALID_TAGS:
-                raise MeshError(f"unknown part tag {t!r}")
         self.ends = self.nodes[self.elements].reshape(-1, 4)
         d = self.ends[:, 2:] - self.ends[:, :2]
         self.lengths = np.hypot(d[:, 0], d[:, 1])
@@ -206,8 +193,7 @@ def _graded_breaks(n: int, min_len: float, total: float, toward_end: bool):
     """
     if min_len * n >= total:
         # grading request already satisfied by uniform elements
-        fr = np.linspace(0.0, 1.0, n + 1)
-        return fr
+        return np.linspace(0.0, 1.0, n + 1)
     # solve min_len * (q^n - 1)/(q - 1) = total for ratio q > 1 by bisection
     def excess(q):
         return min_len * (q**n - 1.0) / (q - 1.0) - total
@@ -240,9 +226,9 @@ def build_mesh(
     """Build a closed boundary mesh from a vertex chain and per-segment specs.
 
     polyline: sequence of vertices (closed implicitly, anti-clockwise).
-    part_spec: one dict per segment with keys
+    part_spec: one dict per segment, as parse_scenario validates it, with keys
         tag   -- part tag (see VALID_TAGS)
-        n     -- number of elements on the segment (>= 1)
+        n     -- number of elements on the segment (>= 1, even for "both")
         grade -- optional ("start"|"end"|"both", min_len) geometric grading
                  toward the named vertex of the segment.
     allow_floating: permit a domain with no Dirichlet component provided it
@@ -254,8 +240,6 @@ def build_mesh(
     unit = _unit_extent(poly)
     if np.allclose(unit[0], unit[-1]):
         raise MeshError("do not repeat the first vertex; closure is implicit")
-    if len(part_spec) != len(poly):
-        raise MeshError("one part spec per polyline segment required")
     if _signed_area(unit) <= 0:
         raise MeshError("polyline must be anti-clockwise")
     _check_simple(poly, unit)
@@ -270,10 +254,6 @@ def build_mesh(
         spec = part_spec[i]
         tag = spec["tag"]
         n = int(spec["n"])
-        if tag not in VALID_TAGS:
-            raise MeshError(f"segment {i}: unknown tag {tag!r}")
-        if n < 1:
-            raise MeshError(f"segment {i}: subdivision count must be >= 1")
         total = float(np.linalg.norm(b - a))
         grade = spec.get("grade")
         if grade is None:
@@ -284,13 +264,9 @@ def build_mesh(
                 fr = _graded_breaks(n, float(min_len), total, toward_end=False)
             elif side == "end":
                 fr = _graded_breaks(n, float(min_len), total, toward_end=True)
-            elif side == "both":
-                if n % 2:
-                    raise MeshError(f"segment {i}: 'both' grading needs even n")
+            else:  # "both": n is even
                 half = _graded_breaks(n // 2, float(min_len), total / 2, False)
                 fr = np.concatenate([half * 0.5, 0.5 + 0.5 * (1.0 - half[::-1][1:])])
-            else:
-                raise MeshError(f"segment {i}: bad grading side {side!r}")
         base = len(nodes)
         for k in range(n):
             nodes.append(a + fr[k] * (b - a))

@@ -30,10 +30,6 @@ from .assembly import (
 from .contact import contact_mass, frame_matrix
 
 
-class SteklovError(RuntimeError):
-    pass
-
-
 def _sym(A: np.ndarray) -> np.ndarray:
     return 0.5 * (A + A.T)
 
@@ -60,8 +56,6 @@ class SteklovOperator:
 
     def __init__(self, im: InfluenceMatrices):
         pair = im.pair
-        if pair is None:
-            raise SteklovError("contact operator needs a two-domain assembly")
         self.im = im
         self.M = contact_mass(pair)
         rhs = np.hstack([im.R_known, im.W])

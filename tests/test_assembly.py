@@ -10,7 +10,7 @@ from contactbem.assembly import (
     scatter_solution,
     solve_tbvp,
 )
-from contactbem.mesh import BoundaryMesh, MeshError, build_mesh
+from contactbem.mesh import MeshError, build_mesh
 from oracles import MAT, square, stacked
 
 
@@ -191,11 +191,6 @@ def test_contact_dirichlet_conflict_rejected():
             {"tag": "C", "n": 1}, {"tag": "DxNy", "n": 1}]
     with pytest.raises(MeshError, match="closures"):
         build_mesh(poly, spec)
-    # the same boundary built without the mesher's check fails in assembly
-    mesh = BoundaryMesh("A", poly, [(0, 1), (1, 2), (2, 3), (3, 0)],
-                        ["D", "N", "C", "DxNy"], np.arange(4))
-    with pytest.raises(AssemblyError, match="contact node carries Dirichlet"):
-        DomainDof(mesh, MAT)
 
 
 def test_known_vector_matches_columns():

@@ -21,11 +21,13 @@ from contactbem.cli import (
     preset_receding,
     scenario_to_dict,
 )
-from contactbem.contact import ContactError
+from contactbem.evolve import EvolveError
 from contactbem.kernels import KernelError
 from contactbem.mesh import MeshError
-from contactbem.steklov import SteklovError
 from oracles import domain_data
+
+# main's exit-3 failures; a scenario that parses may still be unsolvable
+SOLVER_ERRORS = (EvolveError, KernelError, AssemblyError)
 
 
 def tiny_scenario(**solver):
@@ -84,7 +86,8 @@ def test_parse_round_trips_through_yaml():
     (lambda d: d["domains"][0]["material"].update(nu=0.7), "nu"),
     (lambda d: d["domains"][0]["parts"].pop(), "one part per"),
     (lambda d: d["loads"].update(times=[0.0, 0.0]), "strictly increasing"),
-    (lambda d: d["loads"]["neumann"][0].update(segment=99), None),
+    (lambda d: d["loads"]["neumann"][0].update(segment=99),
+     "polyline has 4 segments"),
     (lambda d: d["solver"].update(tau=-1.0), "tau"),
     (lambda d: d["domains"][0]["parts"][0].update(grade=["mid", 0.1]), "grade"),
 ])
@@ -92,8 +95,7 @@ def test_malformed_documents_rejected(mutate, match):
     doc = tiny_scenario()
     mutate(doc)
     with pytest.raises(ConfigError, match=match):
-        sc = parse_scenario(yaml.safe_dump(doc))
-        build_system(sc)  # segment references checked at build time
+        parse_scenario(yaml.safe_dump(doc))
 
 
 def test_unparsable_yaml_rejected():
@@ -147,8 +149,9 @@ def test_load_segment_elements_at_any_scale(scale):
               if np.any(fA[dd.phi_dofs[e]])]
     assert loaded == [0, 1, 2, 3]
     doc["loads"]["neumann"][0]["segment"] = 4
-    with pytest.raises(ConfigError, match="polyline has 4 segments"):
-        build_system(parse_scenario(doc))
+    with pytest.raises(ConfigError, match=r"loads\.neumann\[0\]\.segment: value "
+                       "4, but domain 0's polyline has 4 segments"):
+        parse_scenario(doc)
 
 
 def test_one_load_breakpoint_holds_the_loads(tmp_path, monkeypatch):
@@ -368,6 +371,38 @@ def test_unconvertible_scalar_message_is_the_same_with_both_loaders(
     assert len(set(messages)) == 1
 
 
+# main on argv[2:] with the YAML loader argv[1] names
+MAIN_WITH_LOADER = """
+import sys
+import yaml
+from contactbem import cli
+cli.YAML_LOADER = {"libyaml": yaml.CSafeLoader, "pure": yaml.SafeLoader}[
+    sys.argv[1]]
+sys.exit(cli.main(sys.argv[2:]))
+"""
+
+
+@pytest.mark.parametrize("loader", [
+    pytest.param("libyaml", marks=pytest.mark.skipif(
+        not yaml.__with_libyaml__, reason="PyYAML without libyaml")),
+    "pure"])
+def test_deeply_nested_document_is_one_located_line(loader, tmp_path):
+    """A document nested far deeper than the schema exits 2 with one
+    located line.  Composing it would overflow the stack: a crash of the
+    interpreter under libyaml, so the run is a child process."""
+    path = tmp_path / "deep.yaml"
+    path.write_text("a: " + "[" * 30000 + "]" * 30000 + "\n")
+    src = str(Path(cli.__file__).resolve().parents[1])
+    done = subprocess.run(
+        [sys.executable, "-c", f"import sys; sys.path[:0] = [{src!r}]\n"
+         + MAIN_WITH_LOADER, loader, "run", str(path), "--out",
+         str(tmp_path / "out")], capture_output=True, text=True, timeout=120)
+    assert done.returncode == 2, done.stderr
+    assert done.stderr == ("config error: malformed YAML at line 1, column "
+                           f"35: nested more than {cli.MAX_NESTING} deep\n")
+    assert not (tmp_path / "out").exists()
+
+
 def test_main_unreadable_scenario_file_exits_2(tmp_path, capsys):
     for path, reason in [(tmp_path, "Is a directory"),
                          (tmp_path / "missing.yaml", "No such file")]:
@@ -524,8 +559,7 @@ def test_main_dropped_load_exits_2(kind, entry, match, tmp_path, capsys):
     assert "\n" not in err
 
 
-@pytest.mark.parametrize("error", [KernelError, AssemblyError, SteklovError,
-                                   ContactError])
+@pytest.mark.parametrize("error", SOLVER_ERRORS)
 def test_main_maps_library_errors_to_exit_3(error, tmp_path, capsys, monkeypatch):
     def failing(sc, out):
         raise error("broken")
@@ -567,6 +601,27 @@ MALFORMED_NODES = [
      "domain"),
     (("domains", 0, "material", "E"), 1e300,
      "domains[0].material.E: value 1e+300 above maximum 1000000000000.0"),
+    # each rule of the admissible data, checked once, where the input enters
+    (("domains", 1, "material", "E"), 0,
+     "domains[1].material.E: value 0.0 below minimum 1e-12"),
+    (("domains", 0, "material", "nu"), 0.5,
+     "domains[0].material.nu: value 0.5 above maximum 0.499999999999"),
+    (("chi",), -1e-3, "chi: value -0.001 below minimum 0.0"),
+    (("domains", 1, "parts", 2, "tag"), "X",
+     "domains[1].parts[2].tag: unknown tag 'X'"),
+    (("domains", 0, "parts", 1, "n"), 0,
+     "domains[0].parts[1].n: value 0 below minimum 1"),
+    (("domains", 1, "parts", 3, "n"), 47,
+     "domains[1].parts[3].grade: 'both' grading needs an even n, got 47"),
+    (("loads", "neumann", 0, "segment"), 4,
+     "loads.neumann[0].segment: value 4, but domain 0's polyline has 4 "
+     "segments"),
+    (("loads", "dirichlet", 0, "domain"), 0,
+     "loads.dirichlet[0].segment: value 5, but domain 0's polyline has 4 "
+     "segments"),
+    # the punch's side held in x at the corner of its contact face
+    (("domains", 0, "parts", 1, "tag"), "DxNy",
+     "Dirichlet and contact closures intersect"),
 ]
 
 
@@ -622,8 +677,6 @@ ANY_TYPE = st.one_of(st.text(max_size=3), st.integers(-3, 3), st.floats(),
 # beyond every bound of the schema, or beyond a float's range
 OUT_OF_RANGE = st.sampled_from([-1e300, -1, 0, 1e300, 10**400, 0.5 - 1e-13,
                                 float("nan"), float("inf"), -float("inf")])
-# main's exit-3 failures; a scenario that parses may still be unsolvable
-SOLVER_ERRORS = (KernelError, AssemblyError, SteklovError, ContactError)
 MAX_FUZZ_ELEMENTS = 64  # larger counts are a resource limit, not built here
 
 

@@ -39,8 +39,6 @@ def test_mosco_bounds_rest_and_inviscid():
     xi = mosco_bounds(z, tau=1e-3, chi=0.0)
     # without viscosity the normal bound is beta + w_n >= 0
     assert np.all(split_y(xi)[3] == 0.0)
-    with pytest.raises(ContactError):
-        mosco_bounds(z, tau=0.0, chi=0.0)
 
 
 def test_mosco_bounds_substitution_example():

@@ -119,8 +119,6 @@ def test_modified_dirichlet():
     # chi/tau = 2 on rate-r ramp adds 2 r tau
     assert tilde(lp, 0.7, tau, chi=0.2)[0] == pytest.approx(
         0.7 + 2 * 1.0 * tau)
-    with pytest.raises(EvolveError):
-        tilde(lp, 0.5, 0.0, 0.0)
 
 
 def test_adapt_tau_rules():
@@ -135,8 +133,6 @@ def test_adapt_tau_rules():
     # clamped at the extremes
     assert adapt_tau(res(0.05), eps, 1e-2, 1e-6, 1e-2) == (True, 1e-2)
     assert adapt_tau(res(1.5), eps, 1e-6, 1e-6, 1e-2) == (True, 1e-6)
-    with pytest.raises(EvolveError):
-        adapt_tau(res(0.5), 0.0, 1e-3, 1e-6, 1e-2)
 
 
 def test_adaptive_run_needs_both_step_bounds():

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from contactbem.assembly import _master_w_columns, assemble, solve_tbvp
-from contactbem.steklov import SteklovError, SteklovOperator
+from contactbem.steklov import SteklovOperator
 from oracles import (
     MAT,
     NO_DATA,
@@ -16,12 +16,6 @@ from oracles import (
 )
 
 RNG = np.random.default_rng(7)
-
-
-def test_single_domain_rejected():
-    im = assemble(square(), None, MAT)
-    with pytest.raises(SteklovError):
-        SteklovOperator(im)
 
 
 def test_superposition():

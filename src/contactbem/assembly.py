@@ -211,13 +211,8 @@ class InfluenceMatrices:
 
 
 def assemble(meshes, pair: ContactPair, mats) -> InfluenceMatrices:
-    """Assemble (and factorize) the SGBEM system for one or two domains."""
-    if isinstance(meshes, BoundaryMesh):
-        meshes = [meshes]
-        mats = [mats] if isinstance(mats, Material) else list(mats)
-    else:
-        meshes = list(meshes)
-        mats = list(mats)
+    """Assemble (and factorize) the SGBEM system of the meshes, one or two
+    (A then B), with their materials; pair is None for one domain."""
     two = len(meshes) == 2
 
     doms = [DomainDof(mesh, mat) for mesh, mat in zip(meshes, mats)]

@@ -25,11 +25,11 @@ import yaml
 
 from . import __version__
 from .assembly import AssemblyError, assemble, geometry_hash
-from .contact import ContactError, ContactLaw
 from .evolve import EvolveError, LoadProgram, StepRecord, run
 from .kernels import KernelError
 from .mesh import (VALID_TAGS, Material, MeshError, build_mesh, chain_nodes,
                    pair_contacts)
+from .qp import ContactError, ContactLaw
 
 
 class ConfigError(ValueError):
@@ -531,10 +531,13 @@ class BuiltSystem:
 
 def build_system(sc: Scenario) -> BuiltSystem:
     meshes = []
-    for ds in sc.domains:
-        meshes.append(build_mesh(ds.polyline, ds.parts,
-                                 domain_label=ds.label,
-                                 allow_floating=ds.allow_floating))
+    for j, ds in enumerate(sc.domains):
+        try:
+            meshes.append(build_mesh(ds.polyline, ds.parts,
+                                     domain_label=ds.label,
+                                     allow_floating=ds.allow_floating))
+        except MeshError as exc:
+            raise MeshError(f"domains[{j}]: {exc}")
     pair = pair_contacts(meshes[0], meshes[1])
     im = assemble(meshes, pair, [d.material for d in sc.domains])
     m = len(sc.load_times)

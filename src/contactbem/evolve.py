@@ -37,13 +37,10 @@ from .assembly import (
     known_data_vector,
     solve_tbvp,  # unused here; perfbench/probe.py wraps evolve.solve_tbvp
 )
-from .contact import (
-    ContactLaw,
-    GapState,
-    contact_mass,  # unused here; perfbench/probe.py wraps evolve.contact_mass
-)
+# unused here; perfbench/probe.py wraps evolve.contact_mass
+from .mesh import contact_mass
+from .qp import ContactLaw, GapState, QPError, build_qp, competitor, gap_of
 # perfbench/probe.py wraps the step's QP solve under its former name
-from .qp import QPError, build_qp
 from .qp import solve_qp as mprgp_solve
 from .steklov import SteklovOperator
 
@@ -172,10 +169,8 @@ def step(op: SteklovOperator, law: ContactLaw, chi: float, data: LoadProgram,
         d_now, np.where(data.dirichlet, d_old, d_now), tau, chi)
     qp = build_qp(op, d_tilde, law, tau, chi, state.z)
     qsol = mprgp_solve(qp, active=state.active)
-    y, n = qsol.y, state.z.n_nodes
-    # the gap w of y (contact.py): w_t = (y1 - y2)/2, w_n = y4 - y3
-    w_t = 0.5 * (y[:n] - y[n:2 * n])
-    w_n = y[3 * n:] - y[2 * n:3 * n]
+    y = qsol.y
+    w_t, w_n = gap_of(y)
     # energy residuum: minimality gap of the incremental functional against
     # the do-nothing competitor (previous gap state carried over unchanged),
     # mapped from the fictitious to the physical displacement scale by the
@@ -183,10 +178,8 @@ def step(op: SteklovOperator, law: ContactLaw, chi: float, data: LoadProgram,
     # cancels
     lam = tau / (tau + chi)
     z_t, z_n = state.z.z_t, state.z.z_n
-    beta_c = np.maximum(0.0, -(1.0 + chi / tau) * z_n)
-    # rows: the competitor alpha = 0, beta = beta_c, w = z_prev as y, then y
-    Y = np.concatenate([0.0 + z_t, 0.0 - z_t, beta_c, beta_c + z_n,
-                        y]).reshape(2, -1)
+    # rows: the competitor's y, then the minimizer's
+    Y = np.concatenate([competitor(state.z, tau, chi), y]).reshape(2, -1)
     obj = ((0.5 * (Y @ qp.A) - qp.b) * Y).sum(axis=1)  # A is symmetric
     delta = lam * float(obj[0] - obj[1])
 

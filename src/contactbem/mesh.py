@@ -1,4 +1,4 @@
-"""Boundary meshes, part tagging and contact pairing.
+"""Boundary meshes, part tagging, contact pairing and the master frames.
 
 Each domain boundary is a closed anti-clockwise polyline of straight linear
 elements.  Elements carry a part tag: Dirichlet ("D"), Neumann ("N"),
@@ -325,6 +325,22 @@ class ContactPair:
     @property
     def n_master_nodes(self) -> int:
         return len(self.nodes_B)
+
+
+def frame_matrix(pair: ContactPair) -> np.ndarray:
+    """[R_t R_n] (2n x 2n): maps the stacked nodal [w_t; w_n] in the master
+    frame to the interleaved global xy vector; it is orthogonal, and its
+    transpose maps back."""
+    eye = np.eye(pair.n_master_nodes)[:, None, :]
+    return np.hstack([(v[:, :, None] * eye).reshape(-1, len(v))
+                      for v in (pair.tangent, pair.normal)])
+
+
+def contact_mass(pair: ContactPair) -> np.ndarray:
+    """Consistent scalar mass of the master-side contact shapes (n_c x n_c)."""
+    n_c = pair.n_master_nodes
+    chain = np.arange(n_c - 1)[:, None] + np.arange(2)  # element ends in nodes_B
+    return p1_mass(pair.mesh_B.lengths[pair.elements_B], chain, chain, (n_c, n_c))
 
 
 def _contact_chain(mesh: BoundaryMesh):

@@ -1,20 +1,30 @@
-"""Bound-constrained QP per time step and its active-set solver.
+"""The step QP: its variables y, the bound-constrained QP and its solver.
 
-The incremental functional, after the change of variables of the contact
-module, is 0.5 y^T A y - b^T y over y >= xi, up to a constant that no
-minimizer reads.  A is an explicit dense matrix: the contact Hessian pulled
-back to y through the nodal frames, plus the consistent compliance mass.
-A depends only on the operator and the step size, so it is built once per
-step size; b is one product of the operator's B^T G_R with the step's data
-plus the friction term.  The QP is solved by a primal active-set method
-started at y = xi from the previous step's active set, each pass one direct
-solve of the free block; it terminates finitely and returns the minimizer
-to roundoff.  A is only positive semidefinite: each node's slip magnitude
-alpha is a null direction, pinned in the solve.  The free-block structure
-of the last working set (the free indices, the pinning map and the reduced
-matrix) is memoized beside A, so a step whose working set is the previous
-step's gathers no block; the solve itself is the same, and so is y, to the
-bit.
+The nonsmooth incremental functional in the nodal gap unknowns is rewritten
+with auxiliary variables so every constraint becomes a lower bound:
+
+    alpha >= |w_t - z_t|   (friction slip magnitude)
+    beta  >= max(0, -(w_n + (chi/tau) z_n))   (compliance penetration)
+
+Stacking y = (y1, y2, y3, y4) with y1 = alpha + w_t, y2 = alpha - w_t,
+y3 = beta and y4 = beta + w_n turns the constraint set into y >= xi with
+xi = (z_t, -z_t, 0, -(chi/tau) z_n), all values from the previous step;
+t and n are the components in the master-side (B) nodal frame.  No other
+module knows this layout.  The functional is then 0.5 y^T A y - b^T y over
+y >= xi, up to a constant that no minimizer reads.  A is an explicit dense
+matrix: the contact Hessian pulled back to y through the nodal frames, plus
+the consistent compliance mass.  A depends only on the operator and the
+step size, so it is built once per step size; b is one product of the
+operator's B^T G_R with the step's data plus the friction term.  The QP is
+solved by a primal active-set method started at y = xi from the previous
+step's active set, each pass one direct solve of the free block; it
+terminates finitely and returns the minimizer to roundoff.  Each node's
+slip magnitude alpha is a null direction of A, pinned in the solve; beyond
+those, A is positive semidefinite only up to discretization error, as the
+contact Hessian is (steklov module).  The free-block structure of the last
+working set (the free indices, the pinning map and the reduced matrix) is
+memoized beside A, so a step whose working set is the previous step's
+gathers no block; the solve itself is the same, and so is y, to the bit.
 """
 
 from __future__ import annotations
@@ -23,12 +33,77 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .contact import (
-    ContactLaw,
-    GapState,
-    contact_mass,  # unused here; perfbench/probe.py wraps qp.contact_mass
-    mosco_bounds,
-)
+# unused here; perfbench/probe.py wraps qp.contact_mass
+from .mesh import contact_mass
+
+
+class ContactError(ValueError):
+    pass
+
+
+@dataclass(frozen=True)
+class ContactLaw:
+    """Coulomb friction coefficient and normal compliance stiffness."""
+
+    mu: float  # dimensionless
+    k_g: float  # MPa / mm
+
+    def __post_init__(self):
+        if not self.mu > 0.0:
+            raise ContactError(f"friction coefficient mu must be positive: {self.mu}")
+        if not self.k_g > 0.0:
+            raise ContactError(f"normal stiffness k_g must be positive: {self.k_g}")
+
+
+@dataclass
+class GapState:
+    """Nodal displacement gap on the contact, split in the master frame,
+    and its penetration magnitude beta = max(0, -z_n), the frozen friction
+    weight of the next step."""
+
+    z_t: np.ndarray  # mm, tangential component per master node
+    z_n: np.ndarray  # mm, normal component (negative = penetration)
+
+    def __post_init__(self):
+        self.beta = np.maximum(0.0, -self.z_n)
+
+    @classmethod
+    def rest(cls, n_nodes: int) -> "GapState":
+        return cls(np.zeros(n_nodes), np.zeros(n_nodes))
+
+    @property
+    def n_nodes(self) -> int:
+        return len(self.z_t)
+
+
+def mosco_bounds(z_prev: GapState, tau: float, chi: float) -> np.ndarray:
+    """Lower bounds xi for the transformed variables y >= xi."""
+    zero = np.zeros(z_prev.n_nodes)
+    return np.concatenate(
+        [z_prev.z_t, -z_prev.z_t, zero, -(chi / tau) * z_prev.z_n]
+    )
+
+
+def gap_map(R: np.ndarray) -> np.ndarray:
+    """B = dw/dy, from y to the global gap w = R [w_t; w_n], with R the
+    frame matrix [R_t R_n] (mesh.frame_matrix)."""
+    n = R.shape[1] // 2
+    R_t, R_n = R[:, :n], R[:, n:]
+    return np.hstack([0.5 * R_t, -0.5 * R_t, -R_n, R_n])
+
+
+def gap_of(y: np.ndarray):
+    """The nodal gap (w_t, w_n) of y: w_t = (y1 - y2)/2, w_n = y4 - y3."""
+    n = len(y) // 4
+    return 0.5 * (y[:n] - y[n:2 * n]), y[3 * n:] - y[2 * n:3 * n]
+
+
+def competitor(z_prev: GapState, tau: float, chi: float) -> np.ndarray:
+    """y of the do-nothing competitor: the gap z_prev carried over, with
+    alpha = 0 and beta = max(0, -(1 + chi/tau) z_n), the least feasible."""
+    z_t, z_n = z_prev.z_t, z_prev.z_n
+    beta_c = np.maximum(0.0, -(1.0 + chi / tau) * z_n)
+    return np.concatenate([0.0 + z_t, 0.0 - z_t, beta_c, beta_c + z_n])
 
 
 class QPError(RuntimeError):

@@ -9,10 +9,10 @@ import numpy as np
 
 from contactbem.assembly import (assemble, known_data_vector, scatter_solution,
                                  solve_tbvp)
-from contactbem.contact import ContactError, ContactLaw, frame_matrix
 from contactbem.evolve import modified_dirichlet as modified_data, run
 from contactbem.kernels import KernelError
-from contactbem.mesh import Material, build_mesh, pair_contacts
+from contactbem.mesh import Material, build_mesh, frame_matrix, pair_contacts
+from contactbem.qp import ContactError, ContactLaw
 
 MAT = Material(young_modulus=200.0, poisson_ratio=0.3)
 LAW = ContactLaw(mu=0.8, k_g=4e5)

@@ -26,9 +26,8 @@ from contactbem.cli import (
     preset_receding,
     preset_skewed,
 )
-from contactbem.contact import ContactLaw, GapState, contact_mass
-from contactbem.mesh import Material
-from contactbem.qp import QPProblem, build_qp, solve_qp
+from contactbem.mesh import Material, contact_mass
+from contactbem.qp import ContactLaw, GapState, QPProblem, build_qp, solve_qp
 from contactbem.steklov import SteklovOperator
 from oracles import (domain_data, modified_dirichlet, run_records, split_y,
                      square, y_to_awb)
@@ -87,7 +86,7 @@ def test_criterion_01_patch_test(capsys):
     E, nu, sigma = 200.0, 0.3, 1.0
     t0 = time.perf_counter()
     mesh = square(("NxDy", "N", "N", "DxNy"), n=4)
-    im = assemble(mesh, None, Material(young_modulus=E, poisson_ratio=nu))
+    im = assemble([mesh], None, [Material(young_modulus=E, poisson_ratio=nu)])
     dd = im.layout.domains[0]
     f = np.zeros(2 * dd.n_phi)
     for e in range(mesh.n_elements):

@@ -90,7 +90,7 @@ def test_rigid_translation_annihilated():
 def test_pure_dirichlet_block_negative_definite():
     # small domain (diameter < 1) so the single-layer operator is definite
     mesh = square(("D",) * 4, n=3, side=0.5)
-    im = assemble(mesh, None, MAT)
+    im = assemble([mesh], None, [MAT])
     assert im.asymmetry <= 1e-10
     w = np.linalg.eigvalsh(0.5 * (im.K + im.K.T))
     assert w.max() < 0.0
@@ -98,7 +98,7 @@ def test_pure_dirichlet_block_negative_definite():
 
 def test_assembled_symmetry_mixed_tags():
     mesh = square(("NxDy", "N", "N", "DxNy"), n=3, side=2.0)
-    im = assemble(mesh, None, MAT)
+    im = assemble([mesh], None, [MAT])
     assert im.asymmetry <= 1e-10
 
 
@@ -118,7 +118,7 @@ def test_patch_uniaxial_single_domain():
     displacement field and constant reaction tractions to solver precision."""
     f = 7.0
     mesh = square(("NxDy", "N", "N", "DxNy"), n=4, side=2.0)
-    im = assemble(mesh, None, MAT)
+    im = assemble([mesh], None, [MAT])
     dd = im.layout.domains[0]
     u_ex, sig = uniaxial_fields(MAT, f)
     g_D = np.array([u_ex(x) for x in mesh.nodes]).ravel()
@@ -195,7 +195,7 @@ def test_contact_dirichlet_conflict_rejected():
 
 def test_known_vector_matches_columns():
     mesh = square(("NxDy", "N", "N", "DxNy"), n=2)
-    im = assemble(mesh, None, MAT)
+    im = assemble([mesh], None, [MAT])
     vec = known_data_vector(im, [None], [None])
     assert vec.shape[0] == im.R_known.shape[1]
 
@@ -226,7 +226,7 @@ def test_scatter_solution_matches_block_loop():
 def test_singular_matrix_raises_assembly_error():
     """An exactly singular K fails the solve as an AssemblyError, which the
     command line maps to exit 3, not as numpy's LinAlgError."""
-    im = assemble(square(("D", "N", "N", "N"), n=2), None, MAT)
+    im = assemble([square(("D", "N", "N", "N"), n=2)], None, [MAT])
     im.K[0, :] = 0.0
     im.K[:, 0] = 0.0
     im.factorize()

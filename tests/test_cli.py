@@ -504,7 +504,7 @@ def test_main_touching_polyline_exits_2(tmp_path, capsys):
     path.write_text(yaml.safe_dump(doc))
     assert main(["run", str(path), "--out", str(tmp_path / "out")]) == 2
     err = capsys.readouterr().err.strip()
-    assert "segments 0 and 3 touch at (2, 0)" in err
+    assert "domains[1]: polyline segments 0 and 3 touch at (2, 0)" in err
     assert "\n" not in err
 
 
@@ -521,7 +521,7 @@ def test_main_huge_self_crossing_polyline_exits_2(tmp_path, capsys):
     path.write_text(yaml.safe_dump(doc))
     assert main(["run", str(path), "--out", str(tmp_path / "out")]) == 2
     err = capsys.readouterr().err.strip()
-    assert "polyline self-intersects" in err
+    assert "domains[1]: polyline self-intersects" in err
     assert "\n" not in err
 
 
@@ -621,7 +621,7 @@ MALFORMED_NODES = [
      "segments"),
     # the punch's side held in x at the corner of its contact face
     (("domains", 0, "parts", 1, "tag"), "DxNy",
-     "Dirichlet and contact closures intersect"),
+     "domains[0]: Dirichlet and contact closures intersect"),
 ]
 
 

@@ -2,12 +2,14 @@ import numpy as np
 import pytest
 
 from contactbem.assembly import solve_tbvp
-from contactbem.contact import (
+from contactbem.mesh import contact_mass, frame_matrix
+from contactbem.qp import (
     ContactError,
     ContactLaw,
     GapState,
-    contact_mass,
-    frame_matrix,
+    competitor,
+    gap_map,
+    gap_of,
     mosco_bounds,
 )
 from contactbem.steklov import SteklovOperator
@@ -70,6 +72,32 @@ def test_y_round_trip():
     assert not np.any([a.any(), b.any(), wt.any(), wn.any()])
     y = awb_to_y(np.full(n, 0.3), np.zeros(n), np.zeros(n), np.zeros(n))
     assert np.allclose(y[:n], y[n:2 * n])
+
+
+def test_layout_of_y_in_qp():
+    """gap_of inverts the stacking of a gap into y, gap_map is that gap in
+    the global frame, and the competitor's y carries the previous gap over
+    and meets the bounds xi, to the rounding of beta_c + z_n when chi/tau
+    is not a power of two."""
+    _, _, pair, _ = stacked(3, 3)
+    n = pair.n_master_nodes
+    alpha, beta, w_t, w_n = RNG.normal(size=(4, n))
+    y = awb_to_y(alpha, beta, w_t, w_n)
+    for got, ref in zip(gap_of(y), (w_t, w_n)):
+        assert np.abs(got - ref).max() <= 1e-14
+    R = frame_matrix(pair)
+    w = R @ np.concatenate(gap_of(y))
+    assert np.abs(gap_map(R) @ y - w).max() <= 1e-15
+    tau = 1e-3
+    for chi in (0.0, 5e-4, 1e-3):
+        z = GapState(z_t=RNG.normal(size=n) * 1e-4,
+                     z_n=RNG.normal(size=n) * 1e-4)
+        y_c = competitor(z, tau, chi)
+        ulp = 1e-15 * np.abs(z.z_n).max()
+        assert np.all(y_c >= mosco_bounds(z, tau, chi) - ulp)
+        c_t, c_n = gap_of(y_c)
+        assert np.array_equal(c_t, z.z_t)
+        assert np.abs(c_n - z.z_n).max() <= ulp
 
 
 def test_frame_round_trip_and_orientation():

@@ -7,7 +7,6 @@ from contactbem.assembly import (
     known_data_vector,
     solve_tbvp,
 )
-from contactbem.contact import ContactLaw, contact_mass, frame_matrix
 from contactbem.evolve import (
     EnergyResiduum,
     EvolveError,
@@ -19,6 +18,8 @@ from contactbem.evolve import (
     run,
     step,
 )
+from contactbem.mesh import contact_mass, frame_matrix
+from contactbem.qp import ContactLaw
 from contactbem.steklov import SteklovOperator
 from oracles import (
     LAW,
@@ -245,7 +246,7 @@ def test_no_load_independent_rebuild_per_step(monkeypatch):
     no DomainDof, call no contact_mass, build no Hessian, make no full solve
     or backsolve and read no per-domain mass Mg; a run builds its operator
     once, with one multi-RHS backsolve."""
-    from contactbem import assembly, contact, evolve, qp, steklov
+    from contactbem import assembly, evolve, mesh, qp, steklov
 
     pair, im, lp = pressed(-2e-4)
     op = SteklovOperator(im)
@@ -262,7 +263,7 @@ def test_no_load_independent_rebuild_per_step(monkeypatch):
         monkeypatch.setattr(owner, name, wrapper)
 
     counted(assembly.DomainDof, "__post_init__")
-    for module in (contact, evolve, qp, steklov):
+    for module in (mesh, evolve, qp, steklov):
         counted(module, "contact_mass")
     counted(steklov.SteklovOperator, "hessian")
     counted(evolve, "SteklovOperator")

@@ -5,8 +5,7 @@ import pytest
 
 from contactbem import qp
 from contactbem.assembly import known_data_vector
-from contactbem.contact import GapState
-from contactbem.qp import QPError, QPProblem, build_qp, solve_qp
+from contactbem.qp import GapState, QPError, QPProblem, build_qp, solve_qp
 from contactbem.steklov import SteklovOperator
 from oracles import (
     LAW,

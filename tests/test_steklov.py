@@ -127,7 +127,7 @@ def _face_mass(mesh, dd, face):
 def _single_domain_trace_operator(mesh, contact_pred, master_pos):
     """Mass-projected trace-to-traction operator of one body with its
     contact face clamped, columns ordered by master node positions."""
-    im = assemble(mesh, None, MAT)
+    im = assemble([mesh], None, [MAT])
     dd = im.layout.domains[0]
     face = [e for e in range(mesh.n_elements) if contact_pred(mesh, e)]
     nodes = {n for e in face for n in mesh.elements[e]}

@@ -12,9 +12,14 @@ import numpy as np
 import pytest
 
 from contactbem import cli, evolve
-from contactbem.contact import GapState, mosco_bounds
 from contactbem.evolve import EnergyResiduum, modified_dirichlet
-from contactbem.qp import QPProblem, quadratic_part, solve_qp
+from contactbem.qp import (
+    GapState,
+    QPProblem,
+    mosco_bounds,
+    quadratic_part,
+    solve_qp,
+)
 from oracles import awb_to_y, objective, traction, y_to_awb
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"

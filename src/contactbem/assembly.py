@@ -148,30 +148,60 @@ def _mortar_mass(pair: ContactPair, dd_A: DomainDof, dd_B: DomainDof) -> np.ndar
 
 @dataclass
 class DofLayout:
-    """Where every unknown and every prescribed value sits in the full layout.
+    """The one map between boundary values and the full layout.
 
-    The full layout stacks, per domain, all phi dofs and then all psi dofs,
-    starting at offsets[d] (offsets[-1] is the total width).  unknown_cols
-    holds the full-layout column of each unknown, per domain in block order
-    pD, vN, pC, vC; known_cols that of each prescribed value, in
-    known_data_vector order.  Together they cover every column once.
+    The full layout stacks, per domain, all phi dofs and then all psi dofs:
+    spans[d] holds the (phi, psi) slices of domain d in a layout of width
+    columns.  unknown_cols holds the full-layout column of each unknown, per
+    domain in block order pD, vN, pC, vC; known_cols that of each prescribed
+    value, per domain the prescribed tractions and then the prescribed
+    displacements, and known_disp marks the latter.  Together the two cover
+    every column once.
     """
 
     domains: list  # [DomainDof] (one or two entries, order A then B)
-    offsets: np.ndarray = field(init=False)
+    width: int = field(init=False)
+    spans: list = field(init=False)
     unknown_cols: np.ndarray = field(init=False)
     known_cols: np.ndarray = field(init=False)
+    known_disp: np.ndarray = field(init=False)
 
     def __post_init__(self):
-        self.offsets = np.cumsum([0] + [dd.width for dd in self.domains])
+        offsets = np.cumsum([0] + [dd.width for dd in self.domains])
+        self.width = int(offsets[-1])
+        self.spans = [(slice(off, off + 2 * dd.n_phi),
+                       slice(off + 2 * dd.n_phi, off + dd.width))
+                      for off, dd in zip(offsets, self.domains)]
         unknown, known = [], []
-        for off, dd in zip(self.offsets, self.domains):
-            psi = off + 2 * dd.n_phi
-            unknown += [off + dd.pD, psi + dd.vN, off + dd.pC, psi + dd.vC]
-            known += [off + np.flatnonzero(~dd.trac_unknown),
-                      psi + np.flatnonzero(dd.disp_known)]
+        for (phi, psi), dd in zip(self.spans, self.domains):
+            unknown += [phi.start + dd.pD, psi.start + dd.vN,
+                        phi.start + dd.pC, psi.start + dd.vC]
+            known += [phi.start + np.flatnonzero(~dd.trac_unknown),
+                      psi.start + np.flatnonzero(dd.disp_known)]
         self.unknown_cols = np.concatenate(unknown)
         self.known_cols = np.concatenate(known)
+        self.known_disp = np.isin(self.known_cols,
+                                  np.r_[tuple(psi for _, psi in self.spans)])
+
+    def segment_cols(self, d: int, segment: int, traction: bool) -> np.ndarray:
+        """(k, 2) full-layout columns of the x and y values that a load on
+        polyline segment `segment` of domain d sets: the traction dofs at
+        both ends of each of its elements, or the displacement dofs of its
+        nodes (a dof shared by two elements appears twice)."""
+        dd = self.domains[d]
+        els = dd.mesh.segment == segment
+        phi, psi = self.spans[d]
+        if traction:
+            return phi.start + dd.phi_dofs[els].reshape(-1, 2)
+        return psi.start + dd.psi_dofs[els].reshape(-1, 2)
+
+    def full(self, known: np.ndarray, unknown: np.ndarray) -> np.ndarray:
+        """The full-layout rows of a vector or a matrix, given its rows at
+        known_cols and at unknown_cols."""
+        out = np.empty((self.width,) + np.shape(unknown)[1:])
+        out[self.known_cols] = known
+        out[self.unknown_cols] = unknown
+        return out
 
 
 @dataclass
@@ -217,13 +247,12 @@ def assemble(meshes, pair: ContactPair, mats) -> InfluenceMatrices:
 
     doms = [DomainDof(mesh, mat) for mesh, mat in zip(meshes, mats)]
     layout = DofLayout(doms)
-    off = layout.offsets
 
     # every full-layout row: the displacement BIE on phi dofs, the traction
     # BIE on psi dofs; K and R_known take the rows of the unknowns
-    full = np.zeros((off[-1], off[-1]))
+    full = np.zeros((layout.width, layout.width))
     Mg_list = []
-    for di, dd in enumerate(doms):
+    for di, (dd, (phi, psi)) in enumerate(zip(doms, layout.spans)):
         Ug, Tg, Sg, Mg = _domain_matrices(dd)
         Mg_list.append(Mg)
         M1 = Mg.copy()
@@ -232,19 +261,16 @@ def assemble(meshes, pair: ContactPair, mats) -> InfluenceMatrices:
             M1[np.ix_(dd.pC, dd.vC)] *= -1.0
         if two and di == 1 and len(dd.pC):
             M2[np.ix_(dd.pC, dd.vC)] *= -1.0
-        phi = slice(off[di], off[di] + 2 * dd.n_phi)
-        psi = slice(phi.stop, off[di + 1])
         full[phi, phi] = -Ug
         full[phi, psi] = 0.5 * M1 + Tg
         full[psi, phi] = Tg.T - 0.5 * M2.T
         full[psi, psi] = -Sg
 
-    W_full = np.zeros((off[-1], 2 * pair.n_master_nodes if two else 0))
+    W_full = np.zeros((layout.width, 2 * pair.n_master_nodes if two else 0))
     if two:
         dd_A, dd_B = doms
         M_AB = _mortar_mass(pair, dd_A, dd_B)  # nonzero rows: A's pC only
-        A_phi = slice(0, 2 * dd_A.n_phi)
-        B_psi = slice(off[1] + 2 * dd_B.n_phi, off[2])
+        A_phi, B_psi = layout.spans[0][0], layout.spans[1][1]
         # side A displacement-BIE contact rows couple to B's contact trace
         # and carry the gap data on the right-hand side; side B traction-BIE
         # contact rows couple to A's contact tractions
@@ -279,22 +305,6 @@ def _master_w_columns(pair: ContactPair) -> np.ndarray:
     return (2 * pair.nodes_B[:, None] + np.arange(2)).ravel()
 
 
-def known_data_vector(im: InfluenceMatrices, g_D, f_N) -> np.ndarray:
-    """Stack prescribed boundary data in known-column order.
-
-    g_D: per-domain full nodal arrays (2 n_psi,), entries read only where the
-    displacement component is prescribed; f_N: per-domain full traction
-    arrays (2 n_phi,), read only where the traction is prescribed.
-    """
-    vals = []
-    for di, dd in enumerate(im.layout.domains):
-        f = np.zeros(2 * dd.n_phi) if f_N[di] is None else np.asarray(f_N[di], float)
-        g = np.zeros(2 * dd.n_psi) if g_D[di] is None else np.asarray(g_D[di], float)
-        vals.append(f[~dd.trac_unknown])
-        vals.append(g[dd.disp_known])
-    return np.concatenate(vals) if vals else np.zeros(0)
-
-
 def check_residual(im: InfluenceMatrices, x: np.ndarray, rhs: np.ndarray) -> float:
     """Linear residual |K x - rhs| of a backsolve (one or many columns).
 
@@ -307,32 +317,24 @@ def check_residual(im: InfluenceMatrices, x: np.ndarray, rhs: np.ndarray) -> flo
     return float(res)
 
 
-def solve_tbvp(im: InfluenceMatrices, g_D, f_N, w=None) -> BoundarySolution:
-    """Solve the transmission problem for given boundary data and gap w."""
-    data = known_data_vector(im, g_D, f_N)
-    rhs = im.R_known @ data
+def solve_tbvp(im: InfluenceMatrices, d, w=None) -> BoundarySolution:
+    """Solve the transmission problem for known data d and gap w."""
+    rhs = im.R_known @ d
     if w is not None and im.W.shape[1]:
         rhs = rhs + im.W @ np.asarray(w, float)
     x = im.solve(rhs)
     check_residual(im, x, rhs)
-    return scatter_solution(im, x, data)
+    return scatter_solution(im, x, d)
 
 
 def scatter_solution(im: InfluenceMatrices, x: np.ndarray,
                      data: np.ndarray) -> BoundarySolution:
     """Per-domain traction and displacement vectors from the unknowns x and
-    the prescribed values data (in known_data_vector order)."""
-    layout = im.layout
-    # the two index arrays partition the columns (DomainDof rejects a
-    # prescribed contact displacement), so every entry is written
-    full = np.empty(layout.offsets[-1])
-    full[layout.known_cols] = data
-    full[layout.unknown_cols] = x
-    p, v = [], []
-    for off, dd in zip(layout.offsets, layout.domains):
-        p.append(full[off:off + 2 * dd.n_phi])
-        v.append(full[off + 2 * dd.n_phi:off + dd.width])
-    return BoundarySolution(p=p, v=v, x=x)
+    the prescribed values data (in known_cols order)."""
+    full = im.layout.full(data, x)
+    spans = im.layout.spans
+    return BoundarySolution(p=[full[phi] for phi, _ in spans],
+                            v=[full[psi] for _, psi in spans], x=x)
 
 
 def geometry_hash(meshes, mats) -> str:

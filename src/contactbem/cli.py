@@ -510,17 +510,6 @@ PRESETS = {
 
 # -- system construction ------------------------------------------------------
 
-def _reject_dropped(entry, unknown, path, quantity):
-    """ConfigError for a nonzero load value on a component that unknown
-    (rows of (x, y) flags) marks as solved for: the solve never reads it."""
-    for k in range(2):
-        if unknown[:, k].any() and np.any(entry["values"][:, k]):
-            raise ConfigError(
-                f"{path}: domain {entry['domain']} segment {entry['segment']}"
-                f" prescribes a nonzero {'xy'[k]} {quantity} on a component "
-                f"its part tags leave unknown; the solve would drop it")
-
-
 @dataclass
 class BuiltSystem:
     meshes: list
@@ -540,26 +529,27 @@ def build_system(sc: Scenario) -> BuiltSystem:
             raise MeshError(f"domains[{j}]: {exc}")
     pair = pair_contacts(meshes[0], meshes[1])
     im = assemble(meshes, pair, [d.material for d in sc.domains])
-    m = len(sc.load_times)
-    g_tabs = [np.zeros((m, 2 * mesh.n_nodes)) for mesh in meshes]
-    f_tabs = [np.zeros((m, 2 * dd.n_phi)) for dd in im.layout.domains]
-    for i, entry in enumerate(sc.dirichlet_loads):
-        d, mesh = entry["domain"], meshes[entry["domain"]]
-        els = np.flatnonzero(mesh.segment == entry["segment"])
-        dofs = 2 * np.unique(mesh.elements[els])[:, None] + np.arange(2)
-        _reject_dropped(entry, ~im.layout.domains[d].disp_known[dofs],
-                        f"loads.dirichlet[{i}]", "displacement")
-        g_tabs[d][:, dofs] = entry["values"][:, None, :]
-    for i, entry in enumerate(sc.neumann_loads):
-        d = entry["domain"]
-        dd = im.layout.domains[d]
-        els = np.flatnonzero(meshes[d].segment == entry["segment"])
-        # (x, y) traction dofs at both ends of every element
-        dofs = dd.phi_dofs[els].reshape(-1, 2)
-        _reject_dropped(entry, dd.trac_unknown[dofs], f"loads.neumann[{i}]",
-                        "traction")
-        f_tabs[d][:, dofs] = entry["values"][:, None, :]
-    loads = LoadProgram.from_tables(im, sc.load_times, g_tabs, f_tabs)
+    layout = im.layout
+    # one full-layout row per breakpoint; the solve reads its known columns
+    table = np.zeros((len(sc.load_times), layout.width))
+    unknown = np.ones(layout.width, dtype=bool)
+    unknown[layout.known_cols] = False
+    for kind, quantity, loads in (
+            ("dirichlet", "displacement", sc.dirichlet_loads),
+            ("neumann", "traction", sc.neumann_loads)):
+        for i, entry in enumerate(loads):
+            d, seg, values = entry["domain"], entry["segment"], entry["values"]
+            cols = layout.segment_cols(d, seg, kind == "neumann")
+            dropped = unknown[cols].any(0) & values.any(0)
+            if dropped.any():
+                raise ConfigError(
+                    f"loads.{kind}[{i}]: domain {d} segment {seg} prescribes "
+                    f"a nonzero {'xy'[dropped.argmax()]} {quantity} on a "
+                    "component its part tags leave unknown; the solve would "
+                    "drop it")
+            table[:, cols] = values[:, None, :]
+    loads = LoadProgram(sc.load_times, table[:, layout.known_cols],
+                        layout.known_disp)
     return BuiltSystem(meshes=meshes, pair=pair, im=im, loads=loads)
 
 
@@ -576,7 +566,6 @@ ENERGY_COLUMNS = ("t", "tau", "E", "R1", "twoR2", "work", "deltaE",
 STEP_COLS = "%d,%.17g,"
 NODE_COLS = "%d,%.17g,%.17g,%.17g,"
 STATE_COLS = "%.17g,%.17g,%.17g,%.17g,%d\n"
-CONTACT_ROW = STEP_COLS + NODE_COLS + STATE_COLS
 ENERGY_ROW = "%.17g," * 7 + "%d\n"
 
 
@@ -608,18 +597,17 @@ def _outline(mesh, disp=None, mag=0.0):
     return pts[chain_nodes(mesh, np.arange(mesh.n_elements))]
 
 
-def _svg_path(pts, sx, sy, ox, oy):
+def _svg_path(pts, s, ox, oy):
     cmd = []
     for i, (x, y) in enumerate(pts):
-        cmd.append(f"{'M' if i == 0 else 'L'}{ox + sx * x:.2f} "
-                   f"{oy - sy * y:.2f}")
+        cmd.append(f"{'M' if i == 0 else 'L'}{ox + s * x:.2f} "
+                   f"{oy - s * y:.2f}")
     return " ".join(cmd)
 
 
-def emit_snapshot_svg(meshes, displacements, magnification, path,
-                      pair=None, p_n=None):
-    """Undeformed and deformed boundary outlines, plus an optional contact
-    pressure profile drawn along the master contact curve."""
+def emit_snapshot_svg(meshes, displacements, magnification, path, pair, p_n):
+    """Undeformed and deformed boundary outlines, plus the contact pressure
+    profile p_n drawn along the master contact curve where it is nonzero."""
     allpts = [_outline(m) for m in meshes]
     allpts += [_outline(m, d, magnification)
                for m, d in zip(meshes, displacements)]
@@ -636,13 +624,13 @@ def emit_snapshot_svg(meshes, displacements, magnification, path,
     strokes = (['stroke="#999999" stroke-width="1"'] * len(meshes)
                + ['stroke="#cc2222" stroke-width="1.5"'] * len(meshes))
     for pts, stroke in zip(allpts, strokes):
-        parts.append(f'<path d="{_svg_path(pts, s, s, ox, oy)} Z" '
+        parts.append(f'<path d="{_svg_path(pts, s, ox, oy)} Z" '
                      f'fill="none" {stroke}/>')
-    if pair is not None and p_n is not None and np.abs(p_n).max() > 0:
+    if np.abs(p_n).max() > 0:
         pos = pair.mesh_B.nodes[pair.nodes_B]
         scale = 0.15 * max(span) / np.abs(p_n).max()
         prof = pos + pair.normal * (scale * np.abs(p_n))[:, None]
-        parts.append(f'<path d="{_svg_path(prof, s, s, ox, oy)}" fill="none" '
+        parts.append(f'<path d="{_svg_path(prof, s, ox, oy)}" fill="none" '
                      'stroke="#2244cc" stroke-width="1"/>')
     parts.append("</svg>")
     Path(path).write_text("\n".join(parts) + "\n")
@@ -713,8 +701,7 @@ def run_scenario(sc: Scenario, out_dir) -> StepRecord:
         if sc.solver.plot_every and rec.k % sc.solver.plot_every == 0:
             emit_snapshot_svg(
                 system.meshes, rec.u, sc.solver.magnification,
-                snap_dir / f"step_{rec.k:05d}.svg",
-                pair=system.pair, p_n=rec.p_n)
+                snap_dir / f"step_{rec.k:05d}.svg", system.pair, rec.p_n)
 
     try:
         last = run(system.im, sc.law, sc.chi, system.loads,

@@ -33,10 +33,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .assembly import (
-    known_data_vector,
-    solve_tbvp,  # unused here; perfbench/probe.py wraps evolve.solve_tbvp
-)
+from .assembly import solve_tbvp  # unused here; perfbench/probe.py wraps it
 # unused here; perfbench/probe.py wraps evolve.contact_mass
 from .mesh import contact_mass
 from .qp import ContactLaw, GapState, QPError, build_qp, competitor, gap_of
@@ -51,26 +48,13 @@ class EvolveError(RuntimeError):
 
 @dataclass
 class LoadProgram:
-    """Piecewise-linear-in-time boundary data as known-data vectors
-    (known_data_vector order), one row per breakpoint; values are clamped
+    """Piecewise-linear-in-time boundary data as known-data vectors (in the
+    layout's known_cols order), one row per breakpoint; values are clamped
     outside [times[0], times[-1]]."""
 
     times: list  # the breakpoints, strictly increasing floats
     table: np.ndarray  # (n_times, n_known)
     dirichlet: np.ndarray  # True at the prescribed displacement entries
-
-    @classmethod
-    def from_tables(cls, im, times, g_D, f_N) -> "LoadProgram":
-        """The program of per-domain breakpoint tables: g_D[d] (n_times,
-        2 n_psi) of nodal Dirichlet values, f_N[d] (n_times, 2 n_phi) of
-        traction coefficients, either None for no data."""
-        def row(tabs, j):
-            return [None if tab is None else tab[j] for tab in tabs]
-        table = [known_data_vector(im, row(g_D, j), row(f_N, j))
-                 for j in range(len(times))]
-        ones = [np.ones(2 * dd.n_psi) for dd in im.layout.domains]
-        dirichlet = known_data_vector(im, ones, [None] * len(ones)) > 0.0
-        return cls(list(times), np.array(table), dirichlet)
 
     def at(self, t) -> np.ndarray:
         """The known-data vector at time t."""
@@ -250,17 +234,16 @@ def contact_tractions(op: SteklovOperator, s: np.ndarray):
 
 
 def run(im, law: ContactLaw, chi: float, loads: LoadProgram, *, t_end: float,
-        tau: float, tau_min: float = None, tau_max: float = None,
-        eps: float = None, on_step=None) -> StepRecord:
-    """March the evolution to t_end; fixed step if eps is None.
+        tau: float, tau_min: float, tau_max: float, eps: float = None,
+        on_step=None) -> StepRecord:
+    """March the evolution to t_end; fixed step if eps is None, else the
+    step adapts within [tau_min, tau_max].
 
     on_step, if given, is called with each accepted StepRecord as it is
     accepted; the march keeps none of them and returns the last (the rest
     record if no step was taken).  Rejections halve the step and a step at
     tau_min is always accepted, so the march cannot stall.
     """
-    if eps is not None and (tau_min is None or tau_max is None):
-        raise EvolveError("adaptive stepping (eps) needs tau_min and tau_max")
     op = SteklovOperator(im)
     rec = StepRecord.initial(op, loads.at(0.0))
     while rec.t < t_end - 1e-12 * t_end:

@@ -29,7 +29,7 @@ gathers no block; the solve itself is the same, and so is y, to the bit.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -121,8 +121,8 @@ class QPProblem:
     # magnitude alpha = (y1 + y2)/2 is a null direction of A
     slip_pairs: bool = False
     # free-block memo of A, shared by the QPs of one A (build_qp passes the
-    # one kept on the operator); with None, solve_qp keeps one per call
-    memo: dict = None
+    # one kept on the operator)
+    memo: dict = field(default_factory=dict)
 
     @property
     def dim(self) -> int:
@@ -241,8 +241,7 @@ def solve_qp(p: QPProblem, active: np.ndarray = None) -> QPSolution:
     """
     n = p.dim
     m = n // 4 if p.slip_pairs else 0
-    A, b, xi = p.A, p.b, p.xi
-    memo = {} if p.memo is None else p.memo
+    A, b, xi, memo = p.A, p.b, p.xi, p.memo
     eps = 1e-12 * np.sqrt(b @ b)
     y = xi.copy()
     g = A @ y - b  # gradient at y

@@ -73,13 +73,10 @@ class SteklovOperator:
             self.M, self.G.reshape(n, -1)).reshape(self.G.shape)
         # full-layout traces of s (scatter_solution, column by column)
         layout = im.layout
-        L = np.zeros((layout.offsets[-1], self.Z.shape[1]))
-        L[layout.known_cols, np.arange(self.n_known)] = 1.0
-        L[layout.unknown_cols] = self.Z
+        L = layout.full(np.eye(self.n_known, self.Z.shape[1]), self.Z)
         ML = np.zeros_like(L)  # pairing mass applied to the traces
-        for off, dd, Mg in zip(layout.offsets, layout.domains, im.Mg):
-            phi = slice(off, off + 2 * dd.n_phi)
-            ML[phi] = Mg @ L[phi.stop:off + dd.width]
+        for (phi, psi), Mg in zip(layout.spans, im.Mg):
+            ML[phi] = Mg @ L[psi]
         self.Q = _sym(L.T @ ML)
         self.F = ML[layout.known_cols]  # Dirichlet rows are psi rows: zero
         R = frame_matrix(pair)

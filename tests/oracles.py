@@ -2,14 +2,15 @@
 route what the library computes (which keeps only what a run executes):
 the Kelvin kernels point by point, the potential calculus from full solves,
 the energy terms from trace pairings, the QP variables' change of variables
-as functions.  The main fixture is square A resting
+as functions, the known-data vector and the load program from per-domain
+tables of boundary data.  The main fixture is square A resting
 on square B, in contact along y = side, with B clamped at its bottom."""
 
 import numpy as np
 
-from contactbem.assembly import (assemble, known_data_vector, scatter_solution,
-                                 solve_tbvp)
-from contactbem.evolve import modified_dirichlet as modified_data, run
+from contactbem.assembly import assemble, scatter_solution, solve_tbvp
+from contactbem.evolve import LoadProgram, run
+from contactbem.evolve import modified_dirichlet as modified_data
 from contactbem.kernels import KernelError
 from contactbem.mesh import Material, build_mesh, frame_matrix, pair_contacts
 from contactbem.qp import ContactError, ContactLaw
@@ -63,6 +64,64 @@ def patch_data(im, f):
     g_B = np.zeros(2 * meshB.n_nodes)
     g_B[0::2] = -nu * (1 + nu) * f / E * meshB.nodes[:, 0]
     return [None, g_B], [top_pressure(im, f), None]
+
+
+# -- boundary data per domain --------------------------------------------------
+
+def known_data_vector(im, g_D, f_N) -> np.ndarray:
+    """Stack per-domain boundary data in the layout's known_cols order.
+
+    g_D: per-domain full nodal arrays (2 n_psi,), entries read only where the
+    displacement component is prescribed; f_N: per-domain full traction
+    arrays (2 n_phi,), read only where the traction is prescribed; None for
+    no data.
+    """
+    vals = []
+    for di, dd in enumerate(im.layout.domains):
+        f = np.zeros(2 * dd.n_phi) if f_N[di] is None else np.asarray(f_N[di], float)
+        g = np.zeros(2 * dd.n_psi) if g_D[di] is None else np.asarray(g_D[di], float)
+        vals.append(f[~dd.trac_unknown])
+        vals.append(g[dd.disp_known])
+    return np.concatenate(vals)
+
+
+def solve_data(im, g_D, f_N, w=None):
+    """solve_tbvp of per-domain boundary data (g_D, f_N) and gap w."""
+    return solve_tbvp(im, known_data_vector(im, g_D, f_N), w)
+
+
+def load_program(im, times, g_D, f_N) -> LoadProgram:
+    """The program of per-domain breakpoint tables: g_D[d] (n_times,
+    2 n_psi) of nodal Dirichlet values, f_N[d] (n_times, 2 n_phi) of
+    traction coefficients, either None for no data."""
+    def row(tabs, j):
+        return [None if tab is None else tab[j] for tab in tabs]
+    table = [known_data_vector(im, row(g_D, j), row(f_N, j))
+             for j in range(len(times))]
+    ones = [np.ones(2 * dd.n_psi) for dd in im.layout.domains]
+    dirichlet = known_data_vector(im, ones, [None] * len(ones)) > 0.0
+    return LoadProgram(list(times), np.array(table), dirichlet)
+
+
+def load_tables(sc, im):
+    """Per-domain breakpoint tables (g_D, f_N) of a scenario's loads, element
+    by element: a Dirichlet load sets the displacement of both nodes of its
+    segment's elements, a Neumann load the traction at both of their ends."""
+    m = len(sc.load_times)
+    g_D = [np.zeros((m, 2 * dd.n_psi)) for dd in im.layout.domains]
+    f_N = [np.zeros((m, 2 * dd.n_phi)) for dd in im.layout.domains]
+    for tabs, loads in ((g_D, sc.dirichlet_loads), (f_N, sc.neumann_loads)):
+        for entry in loads:
+            d = entry["domain"]
+            dd = im.layout.domains[d]
+            for e in np.flatnonzero(dd.mesh.segment == entry["segment"]):
+                for end in range(2):
+                    if tabs is g_D:
+                        dofs = 2 * dd.mesh.elements[e, end] + np.arange(2)
+                    else:
+                        dofs = 2 * dd.phi_of[e, end] + np.arange(2)
+                    tabs[d][:, dofs] = entry["values"]
+    return g_D, f_N
 
 
 # -- pointwise Kelvin kernels -------------------------------------------------
@@ -140,10 +199,11 @@ def potential(op, w, g_D, f_N) -> float:
     (includes the data work terms); the right side is formed as
     solve_tbvp forms it."""
     im = op.im
-    rhs = im.R_known @ known_data_vector(im, g_D, f_N)
+    d = known_data_vector(im, g_D, f_N)
+    rhs = im.R_known @ d
     if w is not None and im.W.shape[1]:
         rhs = rhs + im.W @ np.asarray(w, float)
-    return float(-0.5 * solve_tbvp(im, g_D, f_N, w=w).x @ rhs)
+    return float(-0.5 * solve_tbvp(im, d, w).x @ rhs)
 
 
 def energy_pairing(op, sol) -> float:

@@ -18,7 +18,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from contactbem.assembly import assemble, known_data_vector, solve_tbvp
+from contactbem.assembly import assemble
 from contactbem.cli import (
     build_system,
     parse_scenario,
@@ -29,8 +29,8 @@ from contactbem.cli import (
 from contactbem.mesh import Material, contact_mass
 from contactbem.qp import ContactLaw, GapState, QPProblem, build_qp, solve_qp
 from contactbem.steklov import SteklovOperator
-from oracles import (domain_data, modified_dirichlet, run_records, split_y,
-                     square, y_to_awb)
+from oracles import (domain_data, known_data_vector, modified_dirichlet,
+                     run_records, solve_data, split_y, square, y_to_awb)
 
 
 def report(capsys, num, name, ok, detail):
@@ -96,7 +96,7 @@ def test_criterion_01_patch_test(capsys):
             dofs = dd.phi_dofs[e]
             f[dofs[1]] = sigma
             f[dofs[3]] = sigma
-    sol = solve_tbvp(im, [np.zeros(2 * mesh.n_nodes)], [f])
+    sol = solve_data(im, [np.zeros(2 * mesh.n_nodes)], [f])
     u = sol.v[0].reshape(-1, 2)
     exact = np.column_stack([
         -nu * (1.0 + nu) * sigma / E * mesh.nodes[:, 0],
@@ -349,7 +349,8 @@ def test_criterion_11_friction_jump(capsys, skewed_system):
     for mu in (1.1, 0.2):
         law = ContactLaw(mu=mu, k_g=sc.law.k_g)
         recs = run_records(system.im, law, sc.chi, system.loads,
-                           t_end=sc.solver.t_end, tau=sc.solver.tau)
+                           t_end=sc.solver.t_end, tau=sc.solver.tau,
+                           tau_min=sc.solver.tau, tau_max=sc.solver.tau)
         series[mu] = _jump_steps(_traction_integral_series(system, recs))
     ok = bool(series[1.1]) and not series[0.2]
     report(capsys, 11, "large-friction separation jump", ok,

@@ -1,3 +1,5 @@
+import functools
+
 import numpy as np
 import pytest
 
@@ -6,12 +8,11 @@ from contactbem.assembly import (
     DomainDof,
     _domain_matrices,
     assemble,
-    known_data_vector,
     scatter_solution,
-    solve_tbvp,
 )
+from contactbem.cli import build_system, parse_scenario, preset_conforming
 from contactbem.mesh import MeshError, build_mesh
-from oracles import MAT, square, stacked
+from oracles import MAT, known_data_vector, solve_data, square, stacked
 
 
 def uniaxial_fields(mat, f):
@@ -123,7 +124,7 @@ def test_patch_uniaxial_single_domain():
     u_ex, sig = uniaxial_fields(MAT, f)
     g_D = np.array([u_ex(x) for x in mesh.nodes]).ravel()
     f_N = _neumann_data(dd, sig)
-    sol = solve_tbvp(im, [g_D], [f_N])
+    sol = solve_data(im, [g_D], [f_N])
     v_ref = np.array([u_ex(x) for x in mesh.nodes]).ravel()
     scale = np.abs(v_ref).max()
     assert np.abs(sol.v[0] - v_ref).max() <= 1e-7 * scale
@@ -152,7 +153,7 @@ def test_patch_transmission_two_domains(nA, nB):
     f_A = _neumann_data(ddA, sig)
     f_B = np.zeros(2 * ddB.n_phi)
     w = np.zeros(2 * len(pair.nodes_B))
-    sol = solve_tbvp(im, [g_A, g_B], [f_A, f_B], w=w)
+    sol = solve_data(im, [g_A, g_B], [f_A, f_B], w=w)
     scale = np.abs(u_ex((1.0, 2.0))).max()
     for mesh, v in ((meshA, sol.v[0]), (meshB, sol.v[1])):
         v_ref = np.array([u_ex(x) for x in mesh.nodes]).ravel()
@@ -174,7 +175,7 @@ def test_gap_data_rigid_offset():
     meshA, meshB, pair, im = stacked(4, 4)
     g_B = np.zeros(2 * meshB.n_nodes)
     w = np.tile([0.0, 0.04], len(pair.nodes_B))
-    sol = solve_tbvp(im, [None, g_B], [None, None], w=w)
+    sol = solve_data(im, [None, g_B], [None, None], w=w)
     # B stays at rest, A translates by w
     assert np.abs(sol.v[1]).max() <= 1e-8
     vA = sol.v[0].reshape(-1, 2)
@@ -221,6 +222,76 @@ def test_scatter_solution_matches_block_loop():
         assert np.array_equal(sol.p[di], p)
         assert np.array_equal(sol.v[di], v)
     assert n == len(x)
+
+
+@functools.lru_cache
+def _layout(case):
+    """The layout of the stacked squares or of the conforming preset."""
+    if case == "stacked":
+        return stacked(3, 2)[3].layout
+    return build_system(parse_scenario(preset_conforming())).im.layout
+
+
+LAYOUTS = ("stacked", "conforming")
+
+
+def _psi_ranges(layout):
+    """Per domain, the full-layout columns of its displacement dofs, from
+    the domains' widths laid end to end."""
+    ranges, off = [], 0
+    for dd in layout.domains:
+        ranges.append(range(off + 2 * dd.n_phi, off + dd.width))
+        off += dd.width
+    assert off == layout.width
+    return ranges
+
+
+@pytest.mark.parametrize("case", LAYOUTS)
+def test_layout_full_inverts_the_column_selections(case):
+    """full(known, unknown), selected at known_cols and at unknown_cols,
+    gives back both inputs, for a vector and for a matrix."""
+    layout = _layout(case)
+    rng = np.random.default_rng(3)
+    n_known, n_unknown = len(layout.known_cols), len(layout.unknown_cols)
+    assert n_known + n_unknown == layout.width
+    for shape in ((), (3,)):
+        known = rng.normal(size=(n_known,) + shape)
+        unknown = rng.normal(size=(n_unknown,) + shape)
+        full = layout.full(known, unknown)
+        assert full.shape == (layout.width,) + shape
+        assert np.array_equal(full[layout.known_cols], known)
+        assert np.array_equal(full[layout.unknown_cols], unknown)
+
+
+@pytest.mark.parametrize("case", LAYOUTS)
+def test_layout_known_disp_marks_the_known_psi_columns(case):
+    layout = _layout(case)
+    psi = {c for r in _psi_ranges(layout) for c in r}
+    assert layout.known_disp.tolist() == [int(c) in psi
+                                          for c in layout.known_cols]
+    assert layout.known_disp.any() and not layout.known_disp.all()
+
+
+@pytest.mark.parametrize("case", LAYOUTS)
+def test_layout_segment_cols_cover_the_segment(case):
+    """segment_cols of every segment holds (x, y) column pairs covering
+    exactly the traction dofs at both ends of the segment's elements, or
+    the displacement dofs of its nodes."""
+    layout = _layout(case)
+    phi_start = 0
+    for d, (dd, psi) in enumerate(zip(layout.domains, _psi_ranges(layout))):
+        mesh = dd.mesh
+        for seg in range(mesh.segment.max() + 1):
+            els = [e for e in range(mesh.n_elements) if mesh.segment[e] == seg]
+            trac = {phi_start + 2 * int(dd.phi_of[e, end]) + k
+                    for e in els for end in range(2) for k in range(2)}
+            disp = {psi.start + 2 * int(node) + k
+                    for e in els for node in mesh.elements[e] for k in range(2)}
+            for traction, want in ((True, trac), (False, disp)):
+                cols = layout.segment_cols(d, seg, traction)
+                assert np.array_equal(cols[:, 1], cols[:, 0] + 1)
+                assert set(cols.ravel().tolist()) == want
+        phi_start = psi.stop
 
 
 def test_singular_matrix_raises_assembly_error():

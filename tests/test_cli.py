@@ -28,6 +28,8 @@ from oracles import domain_data
 
 # main's exit-3 failures; a scenario that parses may still be unsolvable
 SOLVER_ERRORS = (EvolveError, KernelError, AssemblyError)
+# one contact_series.csv row, as contact_lines writes it
+CONTACT_ROW = cli.STEP_COLS + cli.NODE_COLS + cli.STATE_COLS
 
 
 def tiny_scenario(**solver):
@@ -154,6 +156,24 @@ def test_load_segment_elements_at_any_scale(scale):
         parse_scenario(doc)
 
 
+@pytest.mark.xfail(strict=True, reason=(
+    "DomainDof merges the traction nodes at the ends of the receding strip "
+    "(segments 4, 5 and 6 of the layer are collinear and tagged N alike), so "
+    "the strip's -0.5 MPa ramps across the next element on each side"))
+def test_receding_strip_load_resultant():
+    """The receding preset presses its layer with a 10 mm strip of 0.5 MPa:
+    the applied traction integrates to a 5 N/mm resultant at refine 10, 20
+    and 40 (the merged nodes give 14.375, 9.6875 and 7.34375 N/mm)."""
+    resultants = []
+    for refine in (10, 20, 40):
+        system = build_system(parse_scenario(preset_receding(refine)))
+        f_y = domain_data(system.im, system.loads.at(0.02))[1][0][1::2]
+        dd = system.im.layout.domains[0]
+        ends = f_y[dd.phi_of]  # (m, 2) y traction at each element's ends
+        resultants.append(float(system.meshes[0].lengths @ ends.mean(1)))
+    assert resultants == pytest.approx([-5.0] * 3, rel=1e-12)
+
+
 def test_one_load_breakpoint_holds_the_loads(tmp_path, monkeypatch):
     """loads.times may have one entry: its loads hold from t = 0 on, as
     the same loads given at 0 and at t_end do."""
@@ -244,7 +264,7 @@ def test_csv_row_templates_match_per_value_rendering():
     for slip in (True, np.bool_(False), np.bool_(True)):
         row = (np.int64(12), floats[2], np.int64(3), *floats, 2.5e7, -7.0,
                slip)
-        assert cli.CONTACT_ROW % row == reference(row, (0, 2, 10))
+        assert CONTACT_ROW % row == reference(row, (0, 2, 10))
     row = (*floats, np.float64(2e-3), -0.0, np.int64(41))
     assert cli.ENERGY_ROW % row == reference(row, (7,))
     assert "-0," in cli.ENERGY_ROW % row
@@ -263,7 +283,7 @@ def test_csv_files_are_the_row_templates_of_the_records(tmp_path,
     energy = [",".join(cli.ENERGY_COLUMNS) + "\n"]
     for rec in records:
         for i in range(pair.n_master_nodes):
-            contact.append(cli.CONTACT_ROW % (
+            contact.append(CONTACT_ROW % (
                 rec.k, rec.t, i, pair.arclength_B[i], pos[i, 0], pos[i, 1],
                 rec.p_n[i], rec.p_t[i], rec.z.z_n[i], rec.z.z_t[i],
                 rec.slip[i]))
@@ -487,9 +507,11 @@ def test_snapshot_svg_geometry(tmp_path):
     system = build_system(sc)
     zero = [np.zeros(2 * m.n_nodes) for m in system.meshes]
     path = tmp_path / "snap.svg"
-    cli.emit_snapshot_svg(system.meshes, zero, 100.0, path)
+    cli.emit_snapshot_svg(system.meshes, zero, 100.0, path, system.pair,
+                          np.zeros(system.pair.n_master_nodes))
     text = path.read_text()
-    assert text.count("<path") == 4  # two outlines, drawn twice (coincident)
+    # two outlines, drawn twice (coincident); no pressure, no profile
+    assert text.count("<path") == 4
     assert "</svg>" in text
 
 

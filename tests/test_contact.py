@@ -1,7 +1,6 @@
 import numpy as np
 import pytest
 
-from contactbem.assembly import solve_tbvp
 from contactbem.mesh import contact_mass, frame_matrix
 from contactbem.qp import (
     ContactError,
@@ -18,6 +17,7 @@ from oracles import (
     awb_to_y,
     gradient,
     incremental_energy,
+    solve_data,
     split_y,
     stacked,
     y_to_awb,
@@ -181,7 +181,7 @@ def test_smooth_part_gradient_fd():
 
     R = frame_matrix(pair)
     w = R @ np.concatenate([w_t, w_n])
-    g = gradient(op, solve_tbvp(im, NO_DATA, NO_DATA, w=w))
+    g = gradient(op, solve_data(im, NO_DATA, NO_DATA, w=w))
     g_t, g_n = np.split(R.T @ g, 2)
     h = 1e-6
     for i in range(n_c):

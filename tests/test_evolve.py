@@ -1,15 +1,10 @@
 import numpy as np
 import pytest
 
-from contactbem.assembly import (
-    InfluenceMatrices,
-    _master_w_columns,
-    known_data_vector,
-    solve_tbvp,
-)
+from contactbem.assembly import InfluenceMatrices, _master_w_columns
+from contactbem.cli import build_system, parse_scenario, preset_conforming
 from contactbem.evolve import (
     EnergyResiduum,
-    EvolveError,
     LoadProgram,
     StepRecord,
     adapt_tau,
@@ -24,11 +19,15 @@ from contactbem.steklov import SteklovOperator
 from oracles import (
     LAW,
     gradient,
+    known_data_vector,
+    load_program,
+    load_tables,
     offset_constant,
     patch_data,
     potential,
     residuum_scale,
     run_records,
+    solve_data,
     stacked,
     tables_at,
     top_pressure,
@@ -42,7 +41,7 @@ def pressure_ramp(f_max):
     _, _, pair, im = stacked(3, 3)
     f1 = top_pressure(im, f_max)
     nB = 2 * im.layout.domains[1].n_phi
-    return pair, im, LoadProgram.from_tables(
+    return pair, im, load_program(
         im, [0.0, 5e-3, 1e-2],
         g_D=[None, np.zeros((3, 2 * im.pair.mesh_B.n_nodes))],
         f_N=[np.stack([0 * f1, f1, f1]), np.zeros((3, nB))],
@@ -55,17 +54,17 @@ def pressed(dy, dx=0.0):
     _, _, pair, im = stacked(3, 3, top="D")
     g1 = np.zeros(2 * pair.mesh_A.n_nodes)
     g1[0::2], g1[1::2] = dx, dy
-    lp = LoadProgram.from_tables(im, [0.0, 5e-3, 1e-2],
-                                 g_D=[np.stack([0 * g1, g1, g1]), None],
-                                 f_N=[None, None])
+    lp = load_program(im, [0.0, 5e-3, 1e-2],
+                      g_D=[np.stack([0 * g1, g1, g1]), None], f_N=[None, None])
     return pair, im, lp
 
 
 def test_load_program_interp_and_clamp():
     """The program interpolates its known-data rows linearly between
     breakpoints and clamps outside them (parse_scenario checks that the
-    breakpoints increase); from_tables stacks the per-domain tables of each
-    breakpoint as known_data_vector does and marks the Dirichlet entries."""
+    breakpoints increase).  The table build_system builds holds, at each
+    breakpoint, the known-data vector of the scenario's per-domain load
+    tables, and its Dirichlet mask marks the prescribed displacements."""
     lp = LoadProgram(times=[0.0, 1.0, 3.0],
                      table=np.array([[0.0, 0.0], [2.0, 0.0], [2.0, 4.0]]),
                      dirichlet=np.array([True, False]))
@@ -80,19 +79,20 @@ def test_load_program_interp_and_clamp():
     for t in (0.0, 2.0, 5.0):
         assert np.array_equal(one.at(t), [1.0, -1.0])
 
-    _, _, pair, im = stacked(3, 3, top="D")
-    gA = np.zeros((3, 2 * pair.mesh_A.n_nodes))
-    gA[:, 1::2] = [[0.0], [-1e-4], [-3e-4]]
-    fB = np.zeros((3, 2 * im.layout.domains[1].n_phi))
-    fB[:, 0::2] = [[0.0], [1.0], [1.0]]
-    times = [0.0, 5e-3, 1e-2]
-    lp = LoadProgram.from_tables(im, times, g_D=[gA, None], f_N=[None, fB])
-    for j in range(3):
+    sc = parse_scenario(preset_conforming())  # Neumann and Dirichlet loads
+    system = build_system(sc)
+    im, lp = system.im, system.loads
+    g_D, f_N = load_tables(sc, im)
+    times = sc.load_times
+    assert lp.times == times and len(lp.table) == len(times)
+    for j in range(len(times)):
         assert np.array_equal(lp.table[j], known_data_vector(
-            im, [gA[j], None], [None, fB[j]]))
-    for t in (-1.0, 0.0, 2e-3, 5e-3, 7.5e-3, 1e-2, 1.0):
-        ref = known_data_vector(im, tables_at(times, [gA, None], t),
-                                tables_at(times, [None, fB], t))
+            im, [g[j] for g in g_D], [f[j] for f in f_N]))
+    assert np.any(lp.table[-1][lp.dirichlet])
+    assert np.any(lp.table[-1][~lp.dirichlet])
+    for t in (-1.0, 0.0, 5e-3, 0.01, 0.0125, 0.015, 0.03, 0.04, 1.0):
+        ref = known_data_vector(im, tables_at(times, g_D, t),
+                                tables_at(times, f_N, t))
         assert np.allclose(lp.at(t), ref, rtol=1e-14, atol=1e-18)
     ones = known_data_vector(im, [np.ones(2 * dd.n_psi)
                                   for dd in im.layout.domains], [None, None])
@@ -136,23 +136,13 @@ def test_adapt_tau_rules():
     assert adapt_tau(res(1.5), eps, 1e-6, 1e-6, 1e-2) == (True, 1e-6)
 
 
-def test_adaptive_run_needs_both_step_bounds():
-    """eps turns adaptivity on, which reads tau_min and tau_max; run has no
-    default for them (parse_scenario resolves a scenario's), so it refuses
-    to march without both."""
-    _, im, lp = pressed(-5e-4)
-    for bounds in ({}, {"tau_min": 1e-6}, {"tau_max": 2e-3}):
-        with pytest.raises(EvolveError, match="needs tau_min and tau_max"):
-            run(im, LAW, chi=1e-3, loads=lp, t_end=1e-2, tau=1e-3, eps=1e-7,
-                **bounds)
-
-
 def test_zero_load_rest():
     _, _, pair, im = stacked(3, 3)
-    lp = LoadProgram.from_tables(
+    lp = load_program(
         im, [0.0, 1.0], g_D=[None, np.zeros((2, 2 * pair.mesh_B.n_nodes))],
         f_N=[None, None])
-    recs = run_records(im, LAW, chi=1e-3, loads=lp, t_end=0.01, tau=1e-3)
+    recs = run_records(im, LAW, chi=1e-3, loads=lp, t_end=0.01, tau=1e-3,
+                       tau_min=1e-3, tau_max=1e-3)
     assert len(recs) == 10
     for r in recs:
         assert np.abs(r.z.z_n).max() == 0.0
@@ -167,7 +157,8 @@ def test_compression_step_physics():
     f = -0.5  # MPa downward on A's top
     pair, im, lp = pressure_ramp(f)
     chi, tau = 1e-3, 1e-3
-    recs = run_records(im, LAW, chi=chi, loads=lp, t_end=1e-2, tau=tau)
+    recs = run_records(im, LAW, chi=chi, loads=lp, t_end=1e-2, tau=tau,
+                       tau_min=tau, tau_max=tau)
     last = recs[-1]
     # viscous memory has decayed: tractions transmit the applied pressure
     # (nodally within discretization error, exactly as a resultant)
@@ -216,7 +207,8 @@ def test_ledger_consistency():
     stepped from (0 at rest), and the primary residuum (the minimality gap)
     is nonnegative on every step."""
     pair, im, lp = pressure_ramp(-0.5)
-    recs = run_records(im, LAW, chi=1e-3, loads=lp, t_end=1e-2, tau=1e-3)
+    recs = run_records(im, LAW, chi=1e-3, loads=lp, t_end=1e-2, tau=1e-3,
+                       tau_min=1e-3, tau_max=1e-3)
     stored = [0.0] + [r.stored for r in recs]
     assert [r.residuum.stored_old for r in recs] == stored[:-1]
     assert all(r.residuum.stored_new == r.stored for r in recs)
@@ -233,7 +225,8 @@ def test_dirichlet_squeeze_lift_terms():
     """Prescribed downward motion of the clamped top face exercises the
     Dirichlet-lift terms of the energy estimate; the inequality must hold."""
     pair, im, lp = pressed(-2e-4)  # push straight down
-    recs = run_records(im, LAW, chi=1e-3, loads=lp, t_end=1e-2, tau=1e-3)
+    recs = run_records(im, LAW, chi=1e-3, loads=lp, t_end=1e-2, tau=1e-3,
+                       tau_min=1e-3, tau_max=1e-3)
     last = recs[-1]
     assert last.p_n.min() < -1e-3  # contact is engaged in compression
     assert any(abs(r.residuum.work_mixed) > 0 for r in recs)
@@ -277,7 +270,8 @@ def test_no_load_independent_rebuild_per_step(monkeypatch):
     assert state.k == 4 and np.any(state.s)
     im.Mg = Mg
     assert calls == dict.fromkeys(calls, 0)
-    recs = run_records(im, LAW, chi=1e-3, loads=lp, t_end=5e-3, tau=1e-3)
+    recs = run_records(im, LAW, chi=1e-3, loads=lp, t_end=5e-3, tau=1e-3,
+                       tau_min=1e-3, tau_max=1e-3)
     assert len(recs) == 5
     assert calls == {"DomainDof": 0, "contact_mass": 1, "hessian": 1,
                      "SteklovOperator": 1, "solve_tbvp": 0, "solve": 1}
@@ -411,7 +405,7 @@ def test_contact_space_step_matches_full_solves():
     times = [0.0, 5e-3, 1e-2]
     g_D = [None, np.stack([0 * gB, gB, 0.5 * gB])]
     f_N = [np.stack([0 * f1, f1, f1]), None]
-    lp = LoadProgram.from_tables(im, times, g_D, f_N)
+    lp = load_program(im, times, g_D, f_N)
     chi, tau = 1e-3, 1e-3
     op = SteklovOperator(im)
     M, W, nk = op.M, im.W, op.n_known
@@ -432,14 +426,14 @@ def test_contact_space_step_matches_full_solves():
             g_now, tables_at(times, g_D, t_k - tau), tau, chi)
         f_k = tables_at(times, f_N, t_k)
         d = known_data_vector(im, g_til, f_k)
-        grad = gradient(op, solve_tbvp(im, g_til, f_k, w=np.zeros(op.n_w)))
+        grad = gradient(op, solve_data(im, g_til, f_k, w=np.zeros(op.n_w)))
         close(-op.G[:, :nk] @ d, grad, np.abs(grad).max())
         phi = potential(op, np.zeros(op.n_w), g_til, f_k)
         close(offset_constant(op, d), phi, abs(phi))
 
         result = step(op, LAW, chi, lp, state, tau)
         close(result.s_fict[:nk], d, np.abs(d).max())
-        sol = solve_tbvp(im, g_til, f_k, w=result.s_fict[nk:])
+        sol = solve_data(im, g_til, f_k, w=result.s_fict[nk:])
         force = W.T @ sol.x
         close(op.G @ result.s_fict, force, np.abs(force).max())
         p_xy = np.linalg.solve(M, force.reshape(-1, 2)).ravel()
@@ -455,7 +449,7 @@ def test_contact_space_step_matches_full_solves():
         beta = np.maximum(0.0, -z.z_n)
         dg = [None if gn is None else gn - go
               for gn, go in zip(g_now, tables_at(times, g_D, state.t))]
-        lift = solve_tbvp(im, dg, [None, None], w=np.zeros(op.n_w))
+        lift = solve_data(im, dg, [None, None], w=np.zeros(op.n_w))
         ref = {
             "r1": LAW.mu * LAW.k_g * np.maximum(0.0, -z_old.z_n) @ (
                 M @ np.abs(z.z_t - z_old.z_t)),

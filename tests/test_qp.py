@@ -4,12 +4,12 @@ import numpy as np
 import pytest
 
 from contactbem import qp
-from contactbem.assembly import known_data_vector
 from contactbem.qp import GapState, QPError, QPProblem, build_qp, solve_qp
 from contactbem.steklov import SteklovOperator
 from oracles import (
     LAW,
     incremental_energy,
+    known_data_vector,
     objective,
     offset_constant,
     stacked,

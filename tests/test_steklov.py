@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from contactbem.assembly import _master_w_columns, assemble, solve_tbvp
+from contactbem.assembly import _master_w_columns, assemble
 from contactbem.steklov import SteklovOperator
 from oracles import (
     MAT,
@@ -10,6 +10,7 @@ from oracles import (
     gradient,
     patch_data,
     potential,
+    solve_data,
     square,
     stacked,
     top_pressure,
@@ -23,9 +24,9 @@ def test_superposition():
     op = SteklovOperator(im)
     f_N = [top_pressure(im, -1.0), None]
     w = RNG.normal(size=op.n_w) * 1e-3
-    full = solve_tbvp(im, [None, None], f_N, w=w)
-    offset = solve_tbvp(im, [None, None], f_N, w=np.zeros(op.n_w))
-    hom = solve_tbvp(im, NO_DATA, NO_DATA, w=w)
+    full = solve_data(im, [None, None], f_N, w=w)
+    offset = solve_data(im, [None, None], f_N, w=np.zeros(op.n_w))
+    hom = solve_data(im, NO_DATA, NO_DATA, w=w)
     for d in range(2):
         assert np.allclose(full.p[d], offset.p[d] + hom.p[d], atol=1e-12)
         assert np.allclose(full.v[d], offset.v[d] + hom.v[d], atol=1e-12)
@@ -41,7 +42,7 @@ def test_hessian_equals_column_construction():
     for i in range(n):
         e = np.zeros(n)
         e[i] = 1.0
-        H_ref[:, i] = gradient(op, solve_tbvp(im, NO_DATA, NO_DATA, w=e))
+        H_ref[:, i] = gradient(op, solve_data(im, NO_DATA, NO_DATA, w=e))
     H_ref = 0.5 * (H_ref + H_ref.T)
     assert np.abs(op.H - H_ref).max() <= 1e-12 * np.abs(H_ref).max()
 
@@ -86,7 +87,7 @@ def test_gradient_matches_finite_differences():
     op = SteklovOperator(im)
     data = ([None, g_B], [top_pressure(im, -2.0), None])
     w0 = RNG.normal(size=op.n_w) * 1e-3
-    g = gradient(op, solve_tbvp(im, *data, w=w0))
+    g = gradient(op, solve_data(im, *data, w=w0))
     h = 1e-6
     for i in range(op.n_w):
         e = np.zeros(op.n_w)
@@ -102,7 +103,7 @@ def test_pairing_energy_agrees_on_patch_state():
     f = -5.0
     *_, im = stacked(4, 4)
     op = SteklovOperator(im)
-    sol = solve_tbvp(im, *patch_data(im, f), w=np.zeros(op.n_w))
+    sol = solve_data(im, *patch_data(im, f), w=np.zeros(op.n_w))
     e_pair = energy_pairing(op, sol)
     # exact strain energy density * area for uniaxial plane strain
     E, nu = MAT.young_modulus, MAT.poisson_ratio
@@ -143,7 +144,7 @@ def _single_domain_trace_operator(mesh, contact_pred, master_pos):
     for i in range(n_w):
         g = np.zeros(2 * mesh.n_nodes)
         g[cols[i]] = 1.0
-        sol = solve_tbvp(im, [g], [None])
+        sol = solve_data(im, [g], [None])
         S[:, i] = (Mf.T @ sol.p[0])[cols]
     return 0.5 * (S + S.T)
 
@@ -180,7 +181,7 @@ def test_gradient_equals_master_traction_on_smooth_state():
     f = -5.0
     meshA, meshB, pair, im = stacked(4, 4)
     op = SteklovOperator(im)
-    sol = solve_tbvp(im, *patch_data(im, f), w=np.zeros(op.n_w))
+    sol = solve_data(im, *patch_data(im, f), w=np.zeros(op.n_w))
     g = gradient(op, sol)
     # master-side traction projected onto the nodal gap basis
     face = [e for e in range(meshB.n_elements) if meshB.part_tag[e] == "C"]

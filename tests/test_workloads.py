@@ -183,7 +183,7 @@ def test_step_matches_reference_formulas(name, limit, monkeypatch):
 
     def memo_free_too(p, active=None):
         hits.append(active is not None and (~active).tobytes() in p.memo)
-        free = solve_qp(dataclasses.replace(p, memo=None), active=active)
+        free = solve_qp(dataclasses.replace(p, memo={}), active=active)
         sol = solve(p, active=active)
         same.append(np.array_equal(sol.y, free.y)
                     and np.array_equal(sol.active, free.active))

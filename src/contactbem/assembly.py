@@ -217,31 +217,32 @@ class BoundarySolution:
 class InfluenceMatrices:
     layout: DofLayout
     pair: ContactPair
-    K: np.ndarray
+    K: np.ndarray  # the system matrix; factorize symmetrizes it
     R_known: np.ndarray  # maps known boundary data to the load vector
     W: np.ndarray  # maps gap data w to the load vector
     Mg: list = None  # per-domain phi x psi mass
-    asymmetry: float = 0.0
-    K_sym: np.ndarray = None  # 0.5 (K + K^T), set by factorize
+    asymmetry: float = 0.0  # of K as assembled
     K_inf: float = field(init=False)  # |K|_inf, the scale of check_residual
 
     def __post_init__(self):
         self.K_inf = np.linalg.norm(self.K, ord=np.inf)
 
     def factorize(self):
-        self.K_sym = 0.5 * (self.K + self.K.T)
+        """Replace K by 0.5 (K + K^T), the matrix that solve solves with
+        (perfbench/probe.py times this step under its name)."""
+        self.K = 0.5 * (self.K + self.K.T)
         return self
 
     def solve(self, rhs: np.ndarray) -> np.ndarray:
         try:
-            return np.linalg.solve(self.K_sym, rhs)
+            return np.linalg.solve(self.K, rhs)
         except np.linalg.LinAlgError:
             raise AssemblyError("singular assembled matrix (zero pivot in "
                                 "the LU factorization)") from None
 
 
 def assemble(meshes, pair: ContactPair, mats) -> InfluenceMatrices:
-    """Assemble (and factorize) the SGBEM system of the meshes, one or two
+    """Assemble (and symmetrize) the SGBEM system of the meshes, one or two
     (A then B), with their materials; pair is None for one domain."""
     two = len(meshes) == 2
 

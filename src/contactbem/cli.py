@@ -286,6 +286,11 @@ def parse_scenario(doc) -> Scenario:
     dirichlet = _parse_loads(_take(loads_raw, "dirichlet", "loads",
                                    required=False), "loads.dirichlet",
                              len(times), "values", n_segments)
+    for i, entry in enumerate(dirichlet):  # the march starts at rest
+        start = LoadProgram(times, entry["values"], None).at(0.0)
+        if start.any():
+            raise ConfigError(f"loads.dirichlet[{i}].values: {start.tolist()} "
+                              "at t = 0 over loads.times; the march starts at rest")
     _done(loads_raw, "loads")
 
     sol_raw = _mapping(_take(doc, "solver", "scenario"), "solver")
@@ -296,9 +301,10 @@ def parse_scenario(doc) -> Scenario:
                       lo=1e-15),
         tau=tau,
         tau_min=_number(_take(sol_raw, "tau_min", "solver", required=False,
-                              default=tau), "solver.tau_min", lo=1e-15),
+                              default=tau), "solver.tau_min", lo=1e-15,
+                        hi=tau),
         tau_max=_number(_take(sol_raw, "tau_max", "solver", required=False,
-                              default=tau), "solver.tau_max", lo=1e-15),
+                              default=tau), "solver.tau_max", lo=tau),
         eps=None if eps is None else _number(eps, "solver.eps", lo=1e-30),
         plot_every=_number(_take(sol_raw, "plot_every", "solver",
                                  required=False, default=0),
@@ -726,8 +732,9 @@ def _build_parser():
     rp.add_argument("scenario", nargs="?", help="scenario YAML file")
     rp.add_argument("--preset", choices=sorted(PRESETS),
                     help="use a shipped preset instead of a file")
-    rp.add_argument("--refine", type=int, default=10,
-                    help="contact refinement of the receding preset")
+    rp.add_argument("--refine", type=int, default=None,
+                    help="contact refinement of the receding preset "
+                         "(default 10)")
     rp.add_argument("--export", action="store_true",
                     help="print the resolved scenario YAML and exit")
     rp.add_argument("--out", default=None, help="output directory")
@@ -744,8 +751,11 @@ def _build_parser():
 def _load_scenario(args) -> Scenario:
     if args.preset and args.scenario:
         raise ConfigError("give either a scenario file or --preset, not both")
+    if args.refine is not None and args.preset != "receding":
+        raise ConfigError("--refine: applies to the receding preset only")
     if args.preset == "receding":
-        refine = _number(args.refine, "--refine", lo=1, integer=True)
+        refine = _number(10 if args.refine is None else args.refine,
+                         "--refine", lo=1, integer=True)
         if refine % 10 != 0:
             raise ConfigError(f"--refine: value {refine} is not a multiple "
                               "of 10")

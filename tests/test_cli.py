@@ -91,6 +91,11 @@ def test_parse_round_trips_through_yaml():
     (lambda d: d["loads"]["neumann"][0].update(segment=99),
      "polyline has 4 segments"),
     (lambda d: d["solver"].update(tau=-1.0), "tau"),
+    # the march starts at rest: a prescribed displacement must start at 0,
+    # interpolated there when loads.times starts before it
+    (lambda d: d["loads"].update(times=[-4e-3, 4e-3], dirichlet=[
+        {"domain": 1, "segment": 0, "values": [[0, 0], [0, -0.02]]}]),
+     r"loads.dirichlet\[0\].values: \[0.0, -0.01\] at t = 0"),
     (lambda d: d["domains"][0]["parts"][0].update(grade=["mid", 0.1]), "grade"),
 ])
 def test_malformed_documents_rejected(mutate, match):
@@ -317,6 +322,12 @@ def test_main_export_prints_resolved_preset(capsys):
     assert main(["run", "--preset", "conforming", "--eps", "0.5",
                  "--export"]) == 0
     assert yaml.safe_load(capsys.readouterr().out)["solver"]["eps"] == 0.5
+    # --tau may leave [tau_min, tau_max]: the bounds widen to take it
+    for tau, bounds in (("1e-8", [1e-8, 2e-3]), ("0.01", [1e-7, 0.01])):
+        assert main(["run", "--preset", "skewed", "--tau", tau,
+                     "--export"]) == 0
+        solver = yaml.safe_load(capsys.readouterr().out)["solver"]
+        assert [solver["tau_min"], solver["tau_max"]] == bounds
 
 
 def test_main_exit_codes(tmp_path, capsys):
@@ -342,6 +353,25 @@ def test_main_exit_codes(tmp_path, capsys):
                      "--out", str(tmp_path / "out")]) == 2, (flag, value)
         err = capsys.readouterr().err.strip()
         assert match in err and "\n" not in err, (flag, value, err)
+
+
+def test_main_refine_outside_receding_exits_2(tmp_path, capsys):
+    """--refine refines the receding preset only; elsewhere it is an error,
+    not a flag that is silently dropped."""
+    path = tmp_path / "tiny.yaml"
+    path.write_text(yaml.safe_dump(tiny_scenario()))
+    for argv in (["--preset", "conforming", "--refine", "7", "--export"],
+                 ["--preset", "skewed", "--refine", "40", "--export"],
+                 [str(path), "--refine", "10", "--out", str(tmp_path / "o")]):
+        assert main(["run", *argv]) == 2, argv
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == ("config error: --refine: applies to the receding "
+                       "preset only\n")
+    assert not (tmp_path / "o").exists()
+    assert main(["run", "--preset", "receding", "--refine", "20",
+                 "--export"]) == 0
+    assert yaml.safe_load(capsys.readouterr().out)["name"] == "receding-N20"
 
 
 # PyYAML's constructors raise ValueError, ValueError, AttributeError and
@@ -644,6 +674,16 @@ MALFORMED_NODES = [
     # the punch's side held in x at the corner of its contact face
     (("domains", 0, "parts", 1, "tag"), "DxNy",
      "domains[0]: Dirichlet and contact closures intersect"),
+    # the march starts at rest, so a prescribed displacement starts at zero
+    (("loads", "dirichlet", 0, "values"), [[0.01, 0]] * 4,
+     "loads.dirichlet[0].values: [0.01, 0.0] at t = 0"),
+    # tau_min <= tau <= tau_max
+    (("solver", "tau_min"), 1e-3,
+     "solver.tau_min: value 0.001 above maximum 0.00025"),
+    (("solver", "tau_max"), 1e-5,
+     "solver.tau_max: value 1e-05 below minimum 0.00025"),
+    (("solver", "tau"), 1e-3,
+     "solver.tau_max: value 0.00025 below minimum 0.001"),
 ]
 
 

@@ -22,16 +22,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .kernels import all_pair_blocks
-from .mesh import (
-    TAG_DIRICHLET_MASK,
-    BoundaryMesh,
-    ContactPair,
-    Material,
-    p1_mass,
-    scatter,
-)
-
-CORNER_TOL = 1e-9
+from .mesh import BoundaryMesh, ContactPair, Material, p1_mass, scatter
 
 
 class AssemblyError(RuntimeError):
@@ -43,16 +34,15 @@ class DomainDof:
     """Per-domain shape-function bookkeeping.
 
     Traction (phi) nodes live per element end and are merged across two
-    consecutive elements only when the part tag matches and the geometry has
-    no corner, so tractions may jump at junctions.  Displacement (psi) nodes
-    are the shared mesh nodes.
+    consecutive elements where the mesh joins them (mesh.joins_prev: the
+    same part tag and no corner), so tractions may jump at junctions.
+    Displacement (psi) nodes are the shared mesh nodes.
     """
 
     mesh: BoundaryMesh
     mat: Material
     phi_of: np.ndarray = field(init=False)  # (m, 2) -> phi node id
     n_phi: int = field(init=False)
-    phi_tag: np.ndarray = field(init=False)  # tag per phi node
     # (m, 4) scalar dofs (x, y at the start, x, y at the end) of each element
     phi_dofs: np.ndarray = field(init=False)
     psi_dofs: np.ndarray = field(init=False)
@@ -67,26 +57,18 @@ class DomainDof:
     def __post_init__(self):
         mesh = self.mesh
         m = mesh.n_elements
-        tags = np.array(mesh.part_tag)
-        # merge decision per shared mesh node between consecutive elements:
-        # the same tag and no geometric corner
-        prev = np.roll(np.arange(m), 1)
-        tp, te = mesh.tangents[prev], mesh.tangents
-        merged_with_prev = ((mesh.elements[prev, 1] == mesh.elements[:, 0])
-                            & (tags[prev] == tags)
-                            & (abs(tp[:, 0] * te[:, 1] - tp[:, 1] * te[:, 0])
-                               <= CORNER_TOL)
-                            & ((tp * te).sum(1) >= 0))
+        joins_prev = mesh.joins_prev
         # element ends in order (start, end of element 0, then of 1, ...);
-        # every end and every unmerged start opens the next node id, a
-        # merged start takes the id of the end before it
+        # every end and every unjoined start opens the next node id, a
+        # joined start takes the id of the end before it
         opens = np.ones((m, 2), dtype=bool)
-        opens[1:, 0] = ~merged_with_prev[1:]
-        # wraparound: the end of the last element merges into the start of
-        # the first one; it would open the last id, which wraps to 0
-        self.n_phi = int(opens.sum()) - int(merged_with_prev[0])
+        opens[1:, 0] = ~joins_prev[1:]
+        # wraparound: the end of the last element joins the start of the
+        # first one; it would open the last id, which wraps to 0
+        self.n_phi = int(opens.sum()) - int(joins_prev[0])
         self.phi_of = (np.cumsum(opens).reshape(m, 2) - 1) % self.n_phi
-        self.phi_tag = np.repeat(tags, 2)[opens.ravel()][:self.n_phi]
+        # the element whose end opens each phi node; joined ends share a tag
+        opener = np.repeat(np.arange(m), 2)[opens.ravel()][:self.n_phi]
         self.phi_dofs = np.repeat(2 * self.phi_of, 2, axis=1) + [0, 1, 0, 1]
         self.psi_dofs = np.repeat(2 * mesh.elements, 2, axis=1) + [0, 1, 0, 1]
 
@@ -94,17 +76,10 @@ class DomainDof:
         # prescribed and on the contact; a displacement component is
         # prescribed at every node of an element that prescribes it, and a
         # contact node keeps both displacement components unknown
-        phi_contact = np.repeat(self.phi_tag == "C", 2)
-        self.trac_unknown = phi_contact | np.array(
-            [TAG_DIRICHLET_MASK[t] for t in self.phi_tag]).ravel()
-        n = mesh.n_nodes
-        disp_known = np.zeros((n, 2), dtype=bool)
-        e_dir, k_dir = np.nonzero([TAG_DIRICHLET_MASK[t] for t in tags])
-        disp_known[mesh.elements[e_dir].T, k_dir] = True
-        self.disp_known = disp_known.ravel()
-        contact_node = np.zeros(n, dtype=bool)
-        contact_node[mesh.elements[tags == "C"]] = True
-        contact_dof = np.repeat(contact_node, 2)
+        phi_contact = np.repeat(mesh.contact[opener], 2)
+        self.trac_unknown = phi_contact | mesh.dirichlet[opener].ravel()
+        self.disp_known = mesh.node_dirichlet.ravel()
+        contact_dof = np.repeat(mesh.node_contact, 2)
         self.pD = np.flatnonzero(self.trac_unknown & ~phi_contact)
         self.pC = np.flatnonzero(phi_contact)
         self.vN = np.flatnonzero(~(self.disp_known | contact_dof))

@@ -23,6 +23,9 @@ TAG_DIRICHLET_MASK = {
     "NxDy": (False, True),
 }
 
+# two collinear elements meet at no corner: |t0 x t1| at most this, t0 . t1 >= 0
+CORNER_TOL = 1e-9
+
 
 class MeshError(ValueError):
     pass
@@ -43,12 +46,18 @@ class Material:
 
 @dataclass
 class BoundaryMesh:
-    """Straight elements on a node set, with their geometry.
+    """Straight elements on a node set, with their geometry and parts.
 
     The element arrays are computed once, at construction: ends (m, 4)
     holds each element's endpoints [x0 y0 x1 y1], lengths (m,) its length,
     tangents (m, 2) its unit tangent t and normals (m, 2) its outward
-    normal n = (t2, -t1).
+    normal n = (t2, -t1).  The part tags are decoded there too, and nothing
+    else reads them: dirichlet (m, 2) marks the displacement components an
+    element prescribes and contact (m,) the contact elements;
+    node_dirichlet (n, 2) and node_contact (n,) are their closures, the
+    same marks on every node of a marked element; joins_prev (m,) says that
+    an element joins the one before it, so that a traction is continuous
+    across their shared node: the same tag and no corner.
     """
 
     domain_label: str
@@ -60,6 +69,11 @@ class BoundaryMesh:
     lengths: np.ndarray = field(init=False)
     tangents: np.ndarray = field(init=False)
     normals: np.ndarray = field(init=False)
+    dirichlet: np.ndarray = field(init=False)
+    contact: np.ndarray = field(init=False)
+    node_dirichlet: np.ndarray = field(init=False)
+    node_contact: np.ndarray = field(init=False)
+    joins_prev: np.ndarray = field(init=False)
 
     def __post_init__(self):
         self.nodes = np.asarray(self.nodes, dtype=float)
@@ -73,6 +87,22 @@ class BoundaryMesh:
         self.tangents = d / self.lengths[:, None]
         self.normals = np.stack([self.tangents[:, 1], -self.tangents[:, 0]], 1)
 
+        tags = np.array(self.part_tag)
+        self.dirichlet = np.array([TAG_DIRICHLET_MASK[t] for t in tags])
+        self.contact = tags == "C"
+        self.node_dirichlet = np.zeros((self.n_nodes, 2), dtype=bool)
+        e_dir, k_dir = np.nonzero(self.dirichlet)
+        self.node_dirichlet[self.elements[e_dir].T, k_dir] = True
+        self.node_contact = np.zeros(self.n_nodes, dtype=bool)
+        self.node_contact[self.elements[self.contact]] = True
+        prev = np.roll(np.arange(self.n_elements), 1)
+        tp, te = self.tangents[prev], self.tangents
+        self.joins_prev = ((self.elements[prev, 1] == self.elements[:, 0])
+                           & (tags[prev] == tags)
+                           & (abs(tp[:, 0] * te[:, 1] - tp[:, 1] * te[:, 0])
+                              <= CORNER_TOL)
+                           & ((tp * te).sum(1) >= 0))
+
     @property
     def n_elements(self) -> int:
         return len(self.elements)
@@ -80,9 +110,6 @@ class BoundaryMesh:
     @property
     def n_nodes(self) -> int:
         return len(self.nodes)
-
-    def contact_elements(self) -> np.ndarray:
-        return np.flatnonzero(np.array(self.part_tag) == "C")
 
 
 def scatter(rows: np.ndarray, cols: np.ndarray, blocks: np.ndarray, shape) -> np.ndarray:
@@ -280,20 +307,9 @@ def build_mesh(
     mesh = BoundaryMesh(domain_label, np.array(nodes), np.array(elements), tags,
                         np.array(segment))
 
-    has_dirichlet = any(any(TAG_DIRICHLET_MASK[t]) for t in tags)
-    has_contact = any(t == "C" for t in tags)
-    if not has_dirichlet and not (allow_floating and has_contact):
+    if not mesh.dirichlet.any() and not (allow_floating and mesh.contact.any()):
         raise MeshError("Dirichlet part empty")
-
-    # closures of Dirichlet and contact parts must share no node
-    d_nodes, c_nodes = set(), set()
-    for e, t in enumerate(tags):
-        tgt = d_nodes if any(TAG_DIRICHLET_MASK[t]) else None
-        if t == "C":
-            tgt = c_nodes
-        if tgt is not None:
-            tgt.update(mesh.elements[e])
-    if d_nodes & c_nodes:
+    if np.any(mesh.node_dirichlet.any(1) & mesh.node_contact):
         raise MeshError("Dirichlet and contact closures intersect")
     return mesh
 
@@ -345,24 +361,20 @@ def contact_mass(pair: ContactPair) -> np.ndarray:
 
 def _contact_chain(mesh: BoundaryMesh):
     """Ordered contact element list following the boundary orientation."""
-    idx = mesh.contact_elements()
+    idx = np.flatnonzero(mesh.contact)
     if len(idx) == 0:
         raise MeshError(f"mesh {mesh.domain_label}: empty contact set")
     # the contact part must be one chain along the closed polyline; rotate
-    # the sorted list so that the chain starts at its first element
-    idx = sorted(idx)
-    m = mesh.n_elements
-    present = set(idx)
-    starts = [k for k, e in enumerate(idx) if (e - 1) % m not in present]
+    # the sorted list so that the chain starts at its first element, the
+    # one whose predecessor (element -1 is the last) is not a contact
+    starts = np.flatnonzero(~mesh.contact[idx - 1])
     if len(starts) > 1:
         k = starts[1]
         raise MeshError(
             f"domain {mesh.domain_label}: contact elements are not one "
             f"contiguous chain (break between elements {idx[k - 1]} and {idx[k]})"
         )
-    if starts:
-        idx = idx[starts[0]:] + idx[:starts[0]]
-    return np.array(idx, dtype=np.int64)
+    return np.roll(idx, -starts[0]) if len(starts) else idx
 
 
 # Tolerances of the pairing, relative to the length of B's contact chain:

@@ -284,9 +284,12 @@ def _master_w_columns(pair: ContactPair) -> np.ndarray:
 def check_residual(im: InfluenceMatrices, x: np.ndarray, rhs: np.ndarray) -> float:
     """Linear residual |K x - rhs| of a backsolve (one or many columns).
 
-    Raises AssemblyError above 1e-10 of the scale |K| |x| + |rhs|.
+    Raises AssemblyError if it is not finite or above 1e-10 of the scale
+    |K| |x| + |rhs|.
     """
     res = np.linalg.norm(im.K @ x - rhs)
+    if not np.isfinite(res):
+        raise AssemblyError(f"linear residual {res} is not finite")
     scale = im.K_inf * max(np.linalg.norm(x), 1e-300) + np.linalg.norm(rhs)
     if res > 1e-10 * scale:
         raise AssemblyError(f"linear residual {res:.3e} above tolerance")

@@ -230,6 +230,8 @@ def parse_scenario(doc) -> Scenario:
         raise ConfigError("scenario document must be a mapping")
     doc = dict(doc)
     name = _typed(_take(doc, "name", "scenario"), "name", str, "a string")
+    if "\0" in name:  # it names the default output directory
+        raise ConfigError("name: contains a NUL character")
     chi = _number(_take(doc, "chi", "scenario"), "chi", lo=0.0)
     law_raw = _mapping(_take(doc, "contact", "scenario"), "contact")
     try:

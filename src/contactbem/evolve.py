@@ -67,12 +67,6 @@ class LoadProgram:
         return (1 - lam) * table[j] + lam * table[j + 1]
 
 
-def modified_dirichlet(d_now, d_old, tau: float, chi: float) -> np.ndarray:
-    """Dirichlet data of the fictitious problem of a step of size tau, from
-    the data d_now at the end of the step and d_old tau before it."""
-    return d_now + (chi / tau) * (d_now - d_old)
-
-
 @dataclass
 class EnergyResiduum:
     """Terms of the per-step discrete energy estimate (N mm).
@@ -144,13 +138,11 @@ def step(op: SteklovOperator, law: ContactLaw, chi: float, data: LoadProgram,
     M, Q = op.M, op.Q
     t_k = state.t + tau
     d_now = data.at(t_k)
-    # the data at the step's start is the record's; t_k - tau, where the
-    # modified data is taken, can round away from state.t
-    t_old = t_k - tau
-    d_old = state.d if t_old == state.t else data.at(t_old)
-    # only the Dirichlet entries are modified; the tractions stay at t_k
-    d_tilde = modified_dirichlet(
-        d_now, np.where(data.dirichlet, d_old, d_now), tau, chi)
+    # the Dirichlet increment over the step, from the record's data at its
+    # start; it modifies the fictitious problem's data (the tractions stay
+    # at t_k) and is the lift increment of the energy residuum
+    lift = np.where(data.dirichlet, d_now - state.d, 0.0)
+    d_tilde = d_now + (chi / tau) * lift
     qp = build_qp(op, d_tilde, law, tau, chi, state.z)
     qsol = mprgp_solve(qp, active=state.active)
     y = qsol.y
@@ -178,7 +170,7 @@ def step(op: SteklovOperator, law: ContactLaw, chi: float, data: LoadProgram,
     S[1] = S[0] - state.s
     # lift increment: glued-interface equilibrium field with the Dirichlet
     # increment as data, traction-free elsewhere and at zero gap
-    S[2, :op.n_known] = np.where(data.dirichlet, d_now - state.d, 0.0)
+    S[2, :op.n_known] = lift
     S[3] = state.s
     SQS = (S @ Q @ S.T).tolist()
     s_new, ds = S[0], S[1]

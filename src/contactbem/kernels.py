@@ -331,8 +331,8 @@ def pair_blocks(mesh: BoundaryMesh, mat: Material, i, j):
 
     Returns (U, Tij, Tji, S), each (n_pairs, 4, 4): Tij is tested on element
     i[k] and trialled on j[k], Tji the reverse; U and S are tested on i[k].
-    Raises KernelError if two elements overlap or two separated elements
-    touch.
+    Raises KernelError if two elements overlap, two separated elements
+    touch or a block is not finite (a quadrature point on both elements).
     """
     kind, info = _classify(mesh.elements, i, j)
     P, Ls, Ns = mesh.ends, mesh.lengths, mesh.normals
@@ -342,13 +342,15 @@ def pair_blocks(mesh: BoundaryMesh, mat: Material, i, j):
     D = np.zeros((n, 3))
     acc = (U, Tij, Tji, D)
     # an empty class is skipped, so a one-pair call does not pay the fixed
-    # numpy overhead of the other class's integrator
+    # numpy overhead of the other class's integrator; a quadrature point
+    # on both elements makes a block that is not finite, checked below
     ks = np.flatnonzero(kind == 0)
-    if len(ks):
-        _separated(acc, ks, P, Ls, Ns, i, j, G, nu)
     ka = np.flatnonzero(kind == 1)
-    if len(ka):
-        _adjacent(acc, ka, P, Ls, Ns, i, j, info, G, nu)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        if len(ks):
+            _separated(acc, ks, P, Ls, Ns, i, j, G, nu)
+        if len(ka):
+            _adjacent(acc, ka, P, Ls, Ns, i, j, info, G, nu)
     da = np.stack([-1.0 / Ls[i], 1.0 / Ls[i]], 1)
     db = np.stack([-1.0 / Ls[j], 1.0 / Ls[j]], 1)
     Dm = D[:, [0, 1, 1, 2]].reshape(n, 2, 2)
@@ -357,6 +359,13 @@ def pair_blocks(mesh: BoundaryMesh, mat: Material, i, j):
     if len(kc):
         U[kc], Tij[kc], S[kc] = _coincident_blocks(P[i[kc]], Ls[i[kc]], G, nu)
         Tji[kc] = Tij[kc]
+    finite = np.ones(n, dtype=bool)
+    for blk in (U, Tij, Tji, S):
+        finite &= np.isfinite(blk).all((1, 2))
+    if not finite.all():
+        k = np.argmin(finite)
+        raise KernelError(f"domain {mesh.domain_label}: Galerkin block of "
+                          f"elements {i[k]} and {j[k]} is not finite")
     return U, Tij, Tji, S
 
 

@@ -51,13 +51,13 @@ class BoundaryMesh:
     The element arrays are computed once, at construction: ends (m, 4)
     holds each element's endpoints [x0 y0 x1 y1], lengths (m,) its length,
     tangents (m, 2) its unit tangent t and normals (m, 2) its outward
-    normal n = (t2, -t1).  The part tags are decoded there too, and nothing
-    else reads them: dirichlet (m, 2) marks the displacement components an
-    element prescribes and contact (m,) the contact elements;
+    normal n = (t2, -t1).  The part tags are decoded there too, and no
+    other module decodes them: dirichlet (m, 2) marks the displacement
+    components an element prescribes and contact (m,) the contact elements;
     node_dirichlet (n, 2) and node_contact (n,) are their closures, the
     same marks on every node of a marked element; joins_prev (m,) says that
     an element joins the one before it, so that a traction is continuous
-    across their shared node: the same tag and no corner.
+    across the node they share: the same tag and no corner.
     """
 
     domain_label: str

@@ -10,7 +10,6 @@ import numpy as np
 
 from contactbem.assembly import assemble, scatter_solution, solve_tbvp
 from contactbem.evolve import LoadProgram, run
-from contactbem.evolve import modified_dirichlet as modified_data
 from contactbem.kernels import KernelError
 from contactbem.mesh import Material, build_mesh, frame_matrix, pair_contacts
 from contactbem.qp import ContactError, ContactLaw
@@ -271,6 +270,12 @@ def domain_data(im, d):
     traction arrays, zero on the components d does not prescribe."""
     sol = scatter_solution(im, np.zeros(len(im.layout.unknown_cols)), d)
     return sol.v, sol.p
+
+
+def modified_data(d_now, d_old, tau, chi):
+    """Dirichlet data of the fictitious problem of a step of size tau, from
+    the data d_now at the end of the step and d_old at its start."""
+    return d_now + (chi / tau) * (d_now - d_old)
 
 
 def modified_dirichlet(g_now, g_old, tau, chi) -> list:

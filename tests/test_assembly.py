@@ -8,6 +8,7 @@ from contactbem.assembly import (
     DomainDof,
     _domain_matrices,
     assemble,
+    check_residual,
     scatter_solution,
 )
 from contactbem.cli import build_system, parse_scenario, preset_conforming
@@ -303,3 +304,15 @@ def test_singular_matrix_raises_assembly_error():
     im.factorize()
     with pytest.raises(AssemblyError, match="singular assembled matrix"):
         im.solve(np.ones(len(im.layout.unknown_cols)))
+
+
+def test_check_residual_rejects_a_residual_that_is_not_finite():
+    """A nan anywhere in a backsolve fails the check, although nan compares
+    below no tolerance."""
+    im = assemble([square(("D", "N", "N", "N"), n=2)], None, [MAT])
+    rhs = np.ones(len(im.layout.unknown_cols))
+    x = im.solve(rhs)
+    assert check_residual(im, x, rhs) <= 1e-10 * np.abs(rhs).sum()
+    x[1] = np.nan
+    with pytest.raises(AssemblyError, match="linear residual nan is not finite"):
+        check_residual(im, x, rhs)

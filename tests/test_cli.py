@@ -623,6 +623,23 @@ def test_main_maps_library_errors_to_exit_3(error, tmp_path, capsys, monkeypatch
     assert capsys.readouterr().err == "solver failure: broken\n"
 
 
+def test_main_non_finite_operator_exits_3(tmp_path, capsys):
+    """Elements graded down to 1e-5 mm put quadrature points of an adjacent
+    pair on their shared vertex: the run stops in set-up with one line
+    naming the domain and the pair, not with a march on a nan operator."""
+    doc = _exported("conforming")
+    for domain in doc["domains"]:
+        for part in domain["parts"]:
+            if "grade" in part:
+                part["grade"][1] = 1e-5
+    path = tmp_path / "graded.yaml"
+    path.write_text(yaml.safe_dump(doc))
+    assert main(["run", str(path), "--out", str(tmp_path / "out")]) == 3
+    captured = capsys.readouterr()
+    assert captured.err == ("solver failure: domain A: Galerkin block of "
+                            "elements 0 and 75 is not finite\n")
+
+
 # malformed nodes of the exported conforming preset: (path, value, message)
 MALFORMED_NODES = [
     (("contact",), "abc", "contact: expected a mapping"),
@@ -684,6 +701,8 @@ MALFORMED_NODES = [
      "solver.tau_max: value 1e-05 below minimum 0.00025"),
     (("solver", "tau"), 1e-3,
      "solver.tau_max: value 0.00025 below minimum 0.001"),
+    # the default output directory is named after the scenario
+    (("name",), "a\0b", "name: contains a NUL character"),
 ]
 
 

@@ -1,3 +1,6 @@
+import dataclasses
+import itertools
+
 import numpy as np
 import pytest
 
@@ -9,7 +12,6 @@ from contactbem.evolve import (
     StepRecord,
     adapt_tau,
     contact_tractions,
-    modified_dirichlet,
     run,
     step,
 )
@@ -102,24 +104,32 @@ def test_load_program_interp_and_clamp():
 
 
 def test_modified_dirichlet():
-    tau = 0.1
-    mask = np.array([True])
-    # linear ramp, rate 1 per second
-    lp = LoadProgram(times=[0.0, 1.0], table=np.array([[0.0], [1.0]]),
-                     dirichlet=mask)
-    # constant data: no modification
-    lpc = LoadProgram(times=[0.0, 1.0], table=np.array([[3.0], [3.0]]),
-                      dirichlet=mask)
-
-    def tilde(loads, t, tau, chi):
-        return modified_dirichlet(loads.at(t), loads.at(t - tau), tau, chi)
-
-    assert tilde(lpc, 0.7, tau, chi=0.5)[0] == pytest.approx(3.0)
-    # chi = 0: plain evaluation
-    assert tilde(lp, 0.7, tau, chi=0.0)[0] == pytest.approx(0.7)
-    # chi/tau = 2 on rate-r ramp adds 2 r tau
-    assert tilde(lp, 0.7, tau, chi=0.2)[0] == pytest.approx(
-        0.7 + 2 * 1.0 * tau)
+    """A step's fictitious problem takes the Dirichlet data
+    d + (chi/tau) (d - d_start) at the step's end, with d_start the data the
+    record it starts from carries, and the tractions unmodified; the energy
+    residuum's lift increment is the same Dirichlet increment d - d_start.
+    A record's data hold even where they are not the program's at its time,
+    as where t_k - tau rounds away from the record's time."""
+    _, im, lp = pressed(-1e-3, dx=2e-4)  # ramp to 5 ms, then hold
+    op = SteklovOperator(im)
+    nk, tau, rest = op.n_known, 1e-3, StepRecord.initial(op, lp.at(0.0))
+    starts = [rest,  # on the ramp
+              dataclasses.replace(rest, t=6e-3, d=lp.at(6e-3)),  # held
+              # data off the program, at a time t with t + tau - tau != t
+              dataclasses.replace(rest, t=7e-4, d=lp.at(0.0))]
+    for state, chi in itertools.product(starts, (0.0, 2e-3)):
+        rec = step(op, LAW, chi, lp, state, tau)
+        d_now = lp.at(state.t + tau)
+        lift = np.zeros(nk + op.n_w)
+        lift[:nk] = np.where(lp.dirichlet, d_now - state.d, 0.0)
+        assert np.allclose(rec.s_fict[:nk], d_now + (chi / tau) * lift[:nk],
+                           rtol=1e-14, atol=0.0)
+        assert rec.residuum.work_lift == pytest.approx(
+            0.5 * lift @ op.Q @ lift, rel=1e-12, abs=1e-30)
+    assert np.any(lift)
+    # held data: no modification
+    held = step(op, LAW, 2e-3, lp, starts[1], tau)
+    assert np.array_equal(held.s_fict[:nk], lp.at(6e-3))
 
 
 def test_adapt_tau_rules():
@@ -423,7 +433,7 @@ def test_contact_space_step_matches_full_solves():
         t_k = state.t + tau
         g_now = tables_at(times, g_D, t_k)
         g_til = modified_dirichlet_per_domain(
-            g_now, tables_at(times, g_D, t_k - tau), tau, chi)
+            g_now, tables_at(times, g_D, state.t), tau, chi)
         f_k = tables_at(times, f_N, t_k)
         d = known_data_vector(im, g_til, f_k)
         grad = gradient(op, solve_data(im, g_til, f_k, w=np.zeros(op.n_w)))

@@ -7,6 +7,7 @@ from contactbem.cli import parse_scenario, preset_conforming
 from contactbem.mesh import (
     BoundaryMesh,
     Material,
+    TAG_DIRICHLET_MASK,
     MeshError,
     _project,
     build_mesh,
@@ -93,6 +94,41 @@ def test_dirichlet_required_unless_floating_contact():
 def test_dirichlet_contact_closure_disjoint():
     with pytest.raises(MeshError, match="closures"):
         square(("C", "D", "N", "N"))
+
+
+def test_part_arrays_of_all_five_tags():
+    """The mesh decodes its tags once: per-element Dirichlet and contact
+    masks, their node closures, and where a traction joins across a node."""
+    poly = [(0, 0), (2, 0), (4, 0), (6, 0), (6, 2), (6, 4), (2, 4), (-4, 4),
+            (-4, 0)]
+    tags = ("N", "C", "N", "DxNy", "NxDy", "N", "N", "D", "N")
+    spec = [{"tag": t, "n": 2 if t == "C" else 1} for t in tags]
+    mesh = build_mesh(poly, spec)
+    assert sorted(set(mesh.part_tag)) == sorted(TAG_DIRICHLET_MASK)
+    for e, tag in enumerate(mesh.part_tag):
+        assert tuple(mesh.dirichlet[e]) == TAG_DIRICHLET_MASK[tag]
+        assert mesh.contact[e] == (tag == "C")
+    node_dirichlet = np.zeros((mesh.n_nodes, 2), dtype=bool)
+    node_contact = np.zeros(mesh.n_nodes, dtype=bool)
+    for e, nodes in enumerate(mesh.elements):
+        for node in nodes:
+            node_dirichlet[node] |= TAG_DIRICHLET_MASK[mesh.part_tag[e]]
+            node_contact[node] |= mesh.part_tag[e] == "C"
+    assert np.array_equal(mesh.node_dirichlet, node_dirichlet)
+    assert np.array_equal(mesh.node_contact, node_contact)
+    # element e joins element e - 1 at the node they share
+    assert mesh.joins_prev.tolist() == [
+        True,  # N | N, collinear, across the wraparound
+        False,  # N | C, collinear
+        True,  # C | C inside the contact segment
+        False,  # C | N, collinear
+        False,  # N | DxNy at a corner
+        False,  # DxNy | NxDy, collinear
+        False,  # NxDy | N at a corner
+        True,  # N | N, collinear, from one segment to the next
+        False,  # N | D at a corner
+        False,  # D | N at a corner
+    ]
 
 
 def test_closed_normal_sum():

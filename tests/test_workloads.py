@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from contactbem import cli, evolve
-from contactbem.evolve import EnergyResiduum, modified_dirichlet
+from contactbem.evolve import EnergyResiduum
 from contactbem.qp import (
     GapState,
     QPProblem,
@@ -20,7 +20,7 @@ from contactbem.qp import (
     quadratic_part,
     solve_qp,
 )
-from oracles import awb_to_y, objective, traction, y_to_awb
+from oracles import awb_to_y, modified_data, objective, traction, y_to_awb
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 sys.path.insert(0, str(PERFBENCH))
@@ -65,8 +65,9 @@ def reference_step(op, law, chi, data, state, tau):
     pair, M, Q = op.im.pair, op.M, op.Q
     t_k = state.t + tau
     d_now = data.at(t_k)
-    d_old = np.where(data.dirichlet, data.at(t_k - tau), d_now)
-    d_tilde = modified_dirichlet(d_now, d_old, tau, chi)
+    d_start = data.at(state.t)
+    d_old = np.where(data.dirichlet, d_start, d_now)
+    d_tilde = modified_data(d_now, d_old, tau, chi)
     qp = reference_qp(op, d_tilde, law, tau, chi, state.z)
     qsol = solve_qp(qp, active=state.active)
     _, _, w_t, w_n = y_to_awb(qsol.y)
@@ -86,7 +87,6 @@ def reference_step(op, law, chi, data, state, tau):
     beta_prev = np.maximum(0.0, -state.z.z_n)
     r1 = law.mu * law.k_g * beta_prev @ (M @ dz_t)
     visc = (chi / tau) * float(ds @ (Q @ ds))
-    d_start = data.at(state.t)
     s_lift = np.zeros_like(s_new)
     s_lift[:op.n_known] = np.where(data.dirichlet, d_now - d_start, 0.0)
     q_lift = Q @ s_lift

@@ -88,7 +88,7 @@ class BoundaryMesh:
         self.normals = np.stack([self.tangents[:, 1], -self.tangents[:, 0]], 1)
 
         tags = np.array(self.part_tag)
-        self.dirichlet = np.array([TAG_DIRICHLET_MASK[t] for t in tags])
+        self.dirichlet = np.array([TAG_DIRICHLET_MASK[t] for t in self.part_tag])
         self.contact = tags == "C"
         self.node_dirichlet = np.zeros((self.n_nodes, 2), dtype=bool)
         e_dir, k_dir = np.nonzero(self.dirichlet)

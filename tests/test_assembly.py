@@ -312,7 +312,7 @@ def test_check_residual_rejects_a_residual_that_is_not_finite():
     im = assemble([square(("D", "N", "N", "N"), n=2)], None, [MAT])
     rhs = np.ones(len(im.layout.unknown_cols))
     x = im.solve(rhs)
-    assert check_residual(im, x, rhs) <= 1e-10 * np.abs(rhs).sum()
+    check_residual(im, x, rhs)
     x[1] = np.nan
     with pytest.raises(AssemblyError, match="linear residual nan is not finite"):
         check_residual(im, x, rhs)

@@ -127,9 +127,6 @@ def test_modified_dirichlet():
         assert rec.residuum.work_lift == pytest.approx(
             0.5 * lift @ op.Q @ lift, rel=1e-12, abs=1e-30)
     assert np.any(lift)
-    # held data: no modification
-    held = step(op, LAW, 2e-3, lp, starts[1], tau)
-    assert np.array_equal(held.s_fict[:nk], lp.at(6e-3))
 
 
 def test_adapt_tau_rules():

@@ -7,8 +7,8 @@ from contactbem.cli import parse_scenario, preset_conforming
 from contactbem.mesh import (
     BoundaryMesh,
     Material,
-    TAG_DIRICHLET_MASK,
     MeshError,
+    TAG_DIRICHLET_MASK,
     _project,
     build_mesh,
     pair_contacts,
